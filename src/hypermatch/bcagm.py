@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
-from .qap import psi_with_guard
+from .qap import DEFAULT_IPFP_MAX_ITER, DEFAULT_MPM_MAX_ITER, DEFAULT_MPM_TOL, psi_with_guard
 from .tensor import LiftedOperator, SparseSymmetricTensor3, alpha_bound
 
 __all__ = [
     "ALPHA_SCHEDULES",
     "SUBROUTINES",
+    "TENSOR_METHODS",
     "VARIANTS",
     "TraceViolation",
     "SolverConfig",
@@ -32,6 +33,7 @@ __all__ = [
     "bcagm_psi_solve",
     "hopm_baseline",
     "solve",
+    "run_method",
 ]
 
 ALPHA_SCHEDULES = ("zero_then_bound", "bound_always", "zero_only")
@@ -64,9 +66,9 @@ class SolverConfig:
     max_outer_iters: int = 100
     alpha_override: float | None = None
     raw_ones_start: bool = False
-    ipfp_max_iter: int = 50
-    mpm_max_iter: int = 300
-    mpm_tol: float = 1e-10
+    ipfp_max_iter: int = DEFAULT_IPFP_MAX_ITER
+    mpm_max_iter: int = DEFAULT_MPM_MAX_ITER
+    mpm_tol: float = DEFAULT_MPM_TOL
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -371,3 +373,27 @@ def solve(
     if cfg.variant == "bcagm":
         return bcagm_solve(tensor, cfg, start)
     return bcagm_psi_solve(tensor, cfg, start)
+
+
+# The tensor methods, by name: each maps to the SolverConfig fields that
+# :func:`solve` runs it with, except ``hopm`` (None), the power-method
+# baseline.  Solvers are looked up by their module-global names at call time,
+# so code that rewraps those names sees every call.
+TENSOR_METHODS = {
+    "bcagm": {"variant": "bcagm"},
+    "bcagm_mp": {"variant": "bcagm_psi", "subroutine": "mpm"},
+    "bcagm_ipfp": {"variant": "bcagm_psi", "subroutine": "ipfp"},
+    "hopm": None,
+}
+
+
+def run_method(
+    name: str,
+    tensor: SparseSymmetricTensor3,
+    alpha_schedule: str = SolverConfig.alpha_schedule,
+) -> Solution:
+    """Solve ``tensor`` by the method ``name``; ``hopm`` ignores ``alpha_schedule``."""
+    fields = TENSOR_METHODS[name]
+    if fields is None:
+        return hopm_baseline(tensor)
+    return solve(tensor, SolverConfig(**fields, alpha_schedule=alpha_schedule))

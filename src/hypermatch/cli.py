@@ -16,13 +16,7 @@ import sys
 import numpy as np
 
 from .affinity import AffinityParams, SamplingConfig, build_tensor
-from .bcagm import (
-    SolverConfig,
-    TraceViolation,
-    bcagm_psi_solve,
-    bcagm_solve,
-    hopm_baseline,
-)
+from .bcagm import TENSOR_METHODS, TraceViolation, run_method
 from .harness import METHODS, ExperimentSpec, records_to_csv, run_grid
 from .selfcheck import run_selfcheck
 
@@ -35,8 +29,6 @@ EXIT_ANOMALY = 3
 EXIT_SELFCHECK = 4
 
 FORMAT_VERSION = 1
-
-MATCH_METHODS = ("bcagm", "bcagm_mp", "bcagm_ipfp", "hopm")
 
 _ALPHA_MODES = {"zero-then-bound": "zero_then_bound", "bound": "bound_always", "zero": "zero_only"}
 
@@ -57,7 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     match = sub.add_parser("match", help="match two point sets from a problem file")
     match.add_argument("input", help="problem file (JSON)")
     match.add_argument("--output", help="result file (default: stdout)")
-    match.add_argument("--method", choices=MATCH_METHODS, help="override the file's method")
+    match.add_argument(
+        "--method", choices=tuple(TENSOR_METHODS), help="override the file's method"
+    )
     match.add_argument("--alpha-mode", choices=sorted(_ALPHA_MODES), dest="alpha_mode")
     match.add_argument("--triples-per-point", type=int, dest="triples_per_point")
     match.add_argument("--knn", type=int)
@@ -79,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument(
         "--methods",
-        default="bcagm",
         help=f"comma-separated subset of {','.join(METHODS)}",
     )
     synth.add_argument("--alpha-mode", choices=sorted(_ALPHA_MODES), dest="alpha_mode")
@@ -147,10 +140,20 @@ def _load_problem(path: str):
     return P, Q, options
 
 
-def _option(options: dict, key: str, override, default):
-    if override is not None:
-        return override
-    return options.get(key, default)
+def _given(options: dict, args, *keys: str) -> dict:
+    """The values the user set among ``keys``: a flag wins over the file option.
+
+    Keys the user left unset are absent, so the config dataclasses supply
+    their defaults.
+    """
+    values = {}
+    for key in keys:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = flag
+        elif key in options:
+            values[key] = options[key]
+    return values
 
 
 def _cmd_match(args) -> int:
@@ -162,41 +165,36 @@ def _cmd_match(args) -> int:
     if len(P) < 3:
         raise CliError("invalid problem: P needs at least 3 points", EXIT_INVALID)
 
-    method = _option(options, "method", args.method, "bcagm")
-    if method not in MATCH_METHODS:
+    given = _given(options, args, "method", "alpha_mode")
+    method = given.get("method", ExperimentSpec.methods[0])
+    if method not in TENSOR_METHODS:
         raise CliError(
-            f"unknown method {method!r}, expected one of {MATCH_METHODS}", EXIT_USAGE
+            f"unknown method {method!r}, expected one of {tuple(TENSOR_METHODS)}", EXIT_USAGE
         )
-    alpha_mode = _option(options, "alpha_mode", args.alpha_mode, "zero-then-bound")
-    if alpha_mode not in _ALPHA_MODES:
-        raise CliError(
-            f"unknown alpha mode {alpha_mode!r}, expected one of {sorted(_ALPHA_MODES)}",
-            EXIT_USAGE,
-        )
+    solver = {}
+    if "alpha_mode" in given:
+        alpha_mode = given["alpha_mode"]
+        if alpha_mode not in _ALPHA_MODES:
+            raise CliError(
+                f"unknown alpha mode {alpha_mode!r}, expected one of {sorted(_ALPHA_MODES)}",
+                EXIT_USAGE,
+            )
+        solver["alpha_schedule"] = _ALPHA_MODES[alpha_mode]
+    ints = _given(options, args, "triples_per_point", "knn", "seed")
+    floats = _given(options, args, "sigma_s")
     try:
-        sampling = SamplingConfig(
-            triples_per_point=int(_option(options, "triples_per_point", args.triples_per_point, 50)),
-            knn=int(_option(options, "knn", args.knn, 300)),
-            seed=int(_option(options, "seed", args.seed, 0)),
-        )
+        sampling = SamplingConfig(**{k: int(v) for k, v in ints.items()})
         params = AffinityParams(
-            gamma=options.get("gamma"), sigma_s=float(options.get("sigma_s", 0.5))
+            **{k: float(v) for k, v in floats.items()}, **_given(options, args, "gamma")
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from exc
 
-    tensor = build_tensor(P, Q, sampling, params)
-    schedule = _ALPHA_MODES[alpha_mode]
-    if method == "bcagm":
-        solution = bcagm_solve(tensor, SolverConfig(variant="bcagm", alpha_schedule=schedule))
-    elif method == "hopm":
-        solution = hopm_baseline(tensor)
-    else:
-        subroutine = "mpm" if method == "bcagm_mp" else "ipfp"
-        solution = bcagm_psi_solve(
-            tensor,
-            SolverConfig(variant="bcagm_psi", subroutine=subroutine, alpha_schedule=schedule),
-        )
+    try:
+        tensor = build_tensor(P, Q, sampling, params)
+    except ValueError as exc:
+        raise CliError(f"invalid problem: {exc}", EXIT_INVALID) from exc
+    solution = run_method(method, tensor, **solver)
 
     result = {
         "format_version": FORMAT_VERSION,
@@ -255,7 +253,11 @@ def _resolve_threads(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    chosen = {}
+    if args.methods is not None:
+        chosen["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    if args.alpha_mode is not None:
+        chosen["alpha_schedule"] = _ALPHA_MODES[args.alpha_mode]
     try:
         spec = ExperimentSpec(
             n_in=args.n_in,
@@ -264,15 +266,11 @@ def _cmd_synth(args) -> int:
             scale=args.scale,
             trials=args.trials,
             seed_base=args.seed,
-            methods=methods,
-            sampling=SamplingConfig(
-                triples_per_point=50 if args.triples_per_point is None else args.triples_per_point,
-                knn=300 if args.knn is None else args.knn,
-            ),
-            affinity=AffinityParams(sigma_s=0.5 if args.sigma_s is None else args.sigma_s),
-            alpha_schedule=_ALPHA_MODES[args.alpha_mode] if args.alpha_mode else "zero_then_bound",
+            sampling=SamplingConfig(**_given({}, args, "triples_per_point", "knn")),
+            affinity=AffinityParams(**_given({}, args, "sigma_s")),
             deterministic=args.deterministic,
             threads=_resolve_threads(args),
+            **chosen,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc

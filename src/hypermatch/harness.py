@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .affinity import AffinityParams, SamplingConfig, build_matrix2, build_tensor
-from .bcagm import SolverConfig, TraceViolation, bcagm_psi_solve, bcagm_solve, hopm_baseline
+from .bcagm import TENSOR_METHODS, SolverConfig, TraceViolation, run_method
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
 from .qap import ipfp, mpm
 from .tensor import MatchingShape, SparseSymmetricTensor3
@@ -34,10 +34,9 @@ __all__ = [
     "prepare_case",
     "run_grid",
     "records_to_csv",
-    "write_csv",
 ]
 
-METHODS = ("bcagm", "bcagm_mp", "bcagm_ipfp", "hopm", "ipfp2", "mpm2")
+METHODS = (*TENSOR_METHODS, "ipfp2", "mpm2")
 
 CSV_HEADER = "method,trial,n_in,n_out,sigma,scale,accuracy,score3,iterations,wall_time_ms,status"
 
@@ -55,7 +54,7 @@ class ExperimentSpec:
     methods: tuple[str, ...] = ("bcagm",)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     affinity: AffinityParams = field(default_factory=AffinityParams)
-    alpha_schedule: str = "zero_then_bound"
+    alpha_schedule: str = SolverConfig.alpha_schedule
     deterministic: bool = False
     threads: int = 1
 
@@ -172,26 +171,11 @@ def prepare_case(spec: ExperimentSpec, n_out: int, trial: int) -> TrialCase:
     return TrialCase(P=P, Q=Q, gt=gt, tensor=tensor, seed=seed)
 
 
-def _solver_cfg(spec: ExperimentSpec, variant: str, subroutine: str = "ipfp") -> SolverConfig:
-    return SolverConfig(
-        variant=variant, subroutine=subroutine, alpha_schedule=spec.alpha_schedule
-    )
-
-
 def _run_method(method: str, case: TrialCase, matrix2, spec: ExperimentSpec):
     """Returns (assignment, iterations)."""
     shape = case.shape
-    if method == "bcagm":
-        sol = bcagm_solve(case.tensor, _solver_cfg(spec, "bcagm"))
-        return sol.assignment, sol.outer_iterations
-    if method == "bcagm_mp":
-        sol = bcagm_psi_solve(case.tensor, _solver_cfg(spec, "bcagm_psi", "mpm"))
-        return sol.assignment, sol.outer_iterations
-    if method == "bcagm_ipfp":
-        sol = bcagm_psi_solve(case.tensor, _solver_cfg(spec, "bcagm_psi", "ipfp"))
-        return sol.assignment, sol.outer_iterations
-    if method == "hopm":
-        sol = hopm_baseline(case.tensor)
+    if method in TENSOR_METHODS:
+        sol = run_method(method, case.tensor, spec.alpha_schedule)
         return sol.assignment, sol.outer_iterations
     if method == "ipfp2":
         ones = np.ones(shape.n)
@@ -274,7 +258,3 @@ def records_to_csv(records: Iterable[ResultRecord]) -> str:
         )
     return out.getvalue()
 
-
-def write_csv(records: Iterable[ResultRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(records_to_csv(records))

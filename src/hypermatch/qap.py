@@ -182,22 +182,21 @@ def psi_with_guard(
     least the incumbent's; otherwise the incumbent comes back unchanged.
     This makes either subroutine a valid ascent step.
     """
-    shape = x0.shape
-    A = _check_qap(A, shape.n)
-    incumbent = x0.indicator()
-    incumbent_obj = float(incumbent @ (A @ incumbent))
+    if method not in ("ipfp", "mpm"):
+        raise ValueError(f"unknown subroutine {method!r}, expected 'ipfp' or 'mpm'")
+    # The subroutine validates A; the objectives below are read only after it
+    # has, so a malformed A fails with the validation message.
     if method == "ipfp":
         res = ipfp(A, x0, max_iter=ipfp_max_iter)
         candidate, candidate_obj = res.assignment, res.objective
         iterations = res.inner_iterations
-    elif method == "mpm":
+    else:
+        shape = x0.shape
         mres = mpm(A, shape, x0.indicator(), max_iter=mpm_max_iter, tol=mpm_tol)
         candidate = solve_lap_max(reshape_to_profit(mres.vector, shape))
-        cx = candidate.indicator()
-        candidate_obj = float(cx @ (A @ cx))
+        candidate_obj = qap_objective(A, candidate)
         iterations = mres.iterations
-    else:
-        raise ValueError(f"unknown subroutine {method!r}, expected 'ipfp' or 'mpm'")
+    incumbent_obj = qap_objective(A, x0)
     if candidate_obj >= incumbent_obj:
         return QapResult(candidate, candidate_obj, iterations)
     return QapResult(x0, incumbent_obj, iterations)

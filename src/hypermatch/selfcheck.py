@@ -1,7 +1,9 @@
 """Fast invariant suite behind the ``selfcheck`` CLI command.
 
 Each group re-derives a core guarantee from scratch (brute force where
-feasible) and reports pass/fail; the whole suite runs in a few seconds.
+feasible) and reports pass/fail; the whole suite runs in a few seconds.  The
+random instances and brute-force references are public, and the test suite
+uses them too.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bcagm import SolverConfig, TraceViolation, bcagm_psi_solve, bcagm_solve
-from .lap import solve_lap_max
+from .bcagm import TraceViolation, run_method
+from .lap import AssignmentVector, solve_lap_max
 from .tensor import (
     LiftedOperator,
     MatchingShape,
@@ -21,7 +23,15 @@ from .tensor import (
     g4_form,
 )
 
-__all__ = ["CheckResult", "GROUP_NAMES", "run_selfcheck"]
+__all__ = [
+    "CheckResult",
+    "run_selfcheck",
+    "random_tensor",
+    "random_matching",
+    "all_assignments",
+    "indicator",
+    "lap_brute",
+]
 
 
 class CheckResult(NamedTuple):
@@ -30,26 +40,51 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _random_tensor(rng, shape, orbits):
-    n = shape.n
-    triples = np.empty((orbits, 3), dtype=np.intp)
-    for row in range(orbits):
-        triples[row] = rng.choice(n, size=3, replace=False)
+def random_tensor(rng, shape: MatchingShape, orbits: int) -> SparseSymmetricTensor3:
+    """``orbits`` random triples of distinct indices with uniform [0, 1) values."""
+    triples = np.array(
+        [rng.choice(shape.n, size=3, replace=False) for _ in range(orbits)]
+    )
     return SparseSymmetricTensor3(shape, triples, rng.uniform(0.0, 1.0, size=orbits))
 
 
-def _random_matching_vec(rng, shape):
-    cols = rng.permutation(shape.n2)[: shape.n1]
+def random_matching(rng, shape: MatchingShape) -> AssignmentVector:
+    cols = tuple(int(c) for c in rng.permutation(shape.n2)[: shape.n1])
+    return AssignmentVector(shape, cols)
+
+
+def all_assignments(shape: MatchingShape):
+    """All one-to-one matchings as column tuples, in lexicographic order."""
+    return list(itertools.permutations(range(shape.n2), shape.n1))
+
+
+def indicator(shape: MatchingShape, cols) -> np.ndarray:
     x = np.zeros(shape.n)
-    x[np.arange(shape.n1) * shape.n2 + cols] = 1.0
+    x[np.arange(shape.n1) * shape.n2 + np.asarray(cols, dtype=np.intp)] = 1.0
     return x
+
+
+def lap_brute(profit: np.ndarray):
+    """Exhaustive linear assignment maximum: (best objective, best columns).
+
+    Objectives are accumulated in row order, matching how tests score the
+    solver's output, so equality comparisons are exact.
+    """
+    n1, n2 = profit.shape
+    rows = np.arange(n1)
+    best_obj, best_cols = -np.inf, None
+    for cols in itertools.permutations(range(n2), n1):
+        obj = float(profit[rows, np.asarray(cols)].sum())
+        if obj > best_obj:
+            best_obj, best_cols = obj, cols
+    return best_obj, best_cols
 
 
 def _check_identities() -> CheckResult:
     rng = np.random.default_rng(11)
     shape = MatchingShape(3, 4)
     for _ in range(5):
-        tensor = _random_tensor(rng, shape, 18)
+        tensor = random_tensor(rng, shape, 18)
         alpha = float(rng.uniform(0.5, 2.0))
         op = LiftedOperator(tensor, alpha)
         op0 = LiftedOperator(tensor, 0.0)
@@ -58,7 +93,7 @@ def _check_identities() -> CheckResult:
         for perm in itertools.permutations((x, y, z, t)):
             if abs(op.form(*perm) - ref) > 1e-12 * (1.0 + abs(ref)):
                 return CheckResult("multilinear-identities", False, "permutation invariance")
-        m = _random_matching_vec(rng, shape)
+        m = random_matching(rng, shape).indicator()
         s4 = op0.score(m)
         if abs(s4 - 4.0 * shape.n1 * tensor.score(m)) > 1e-10 * (1.0 + abs(s4)):
             return CheckResult("multilinear-identities", False, "lifting identity")
@@ -73,7 +108,7 @@ def _check_block_bounds() -> CheckResult:
     rng = np.random.default_rng(23)
     shape = MatchingShape(3, 3)
     for _ in range(4):
-        tensor = _random_tensor(rng, shape, 12)
+        tensor = random_tensor(rng, shape, 12)
         op = LiftedOperator(tensor, 3.0 * f4_norm_exact(tensor))
         for _ in range(50):
             x, y, z, t = (rng.standard_normal(shape.n) for _ in range(4))
@@ -89,20 +124,13 @@ def _check_block_bounds() -> CheckResult:
     return CheckResult("block-bound-inequalities", True, "block bounds at exact alpha")
 
 
-def _enumerate_matchings(shape):
-    for cols in itertools.permutations(range(shape.n2), shape.n1):
-        x = np.zeros(shape.n)
-        x[np.arange(shape.n1) * shape.n2 + np.array(cols)] = 1.0
-        yield x
-
-
 def _check_equivalence() -> CheckResult:
     rng = np.random.default_rng(37)
     shape = MatchingShape(3, 3)
     for _ in range(5):
-        tensor = _random_tensor(rng, shape, 10)
+        tensor = random_tensor(rng, shape, 10)
         op = LiftedOperator(tensor, 3.0 * f4_norm_exact(tensor))
-        points = list(_enumerate_matchings(shape))
+        points = [indicator(shape, cols) for cols in all_assignments(shape)]
         best_diag = max(op.score(x) for x in points)
         best_free = max(
             op.form(x, y, z, t)
@@ -123,10 +151,7 @@ def _check_lap() -> CheckResult:
         got = solve_lap_max(profit)
         rows = np.arange(4)
         got_obj = float(profit[rows, np.array(got.cols)].sum())
-        best = max(
-            float(profit[rows, np.array(cols)].sum())
-            for cols in itertools.permutations(range(6), 4)
-        )
+        best, _ = lap_brute(profit)
         if got_obj != best:
             return CheckResult("lap-bruteforce", False, f"{got_obj} != {best}")
     return CheckResult("lap-bruteforce", True, "matches exhaustive optimum")
@@ -135,18 +160,11 @@ def _check_lap() -> CheckResult:
 def _check_monotonic() -> CheckResult:
     rng = np.random.default_rng(53)
     shape = MatchingShape(4, 6)
-    configs = [
-        SolverConfig(variant="bcagm"),
-        SolverConfig(variant="bcagm_psi", subroutine="ipfp"),
-        SolverConfig(variant="bcagm_psi", subroutine="mpm"),
-    ]
     for _ in range(15):
-        tensor = _random_tensor(rng, shape, 30)
-        for cfg in configs:
+        tensor = random_tensor(rng, shape, 30)
+        for method in ("bcagm", "bcagm_ipfp", "bcagm_mp"):
             try:
-                sol = (bcagm_solve if cfg.variant == "bcagm" else bcagm_psi_solve)(
-                    tensor, cfg
-                )
+                sol = run_method(method, tensor)
             except TraceViolation as exc:
                 return CheckResult("solver-monotonicity", False, str(exc))
             if sol.trace.terminated != "stalled":
@@ -162,14 +180,6 @@ GROUPS = (
     _check_equivalence,
     _check_lap,
     _check_monotonic,
-)
-
-GROUP_NAMES = (
-    "multilinear-identities",
-    "block-bound-inequalities",
-    "tiny-scale-equivalence",
-    "lap-bruteforce",
-    "solver-monotonicity",
 )
 
 

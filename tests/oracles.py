@@ -1,7 +1,9 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here works on dense arrays with explicit permutation loops, so it
-shares no code path with the orbit-based package internals.
+Everything defined here works on dense arrays with explicit permutation
+loops, so it shares no code path with the orbit-based package internals.
+The random instances and the enumeration and LAP brute force come from
+``hypermatch.selfcheck``, which runs the same references.
 """
 
 from __future__ import annotations
@@ -11,6 +13,13 @@ import itertools
 import numpy as np
 
 from hypermatch import MatchingShape, SparseSymmetricTensor3
+from hypermatch.selfcheck import (  # noqa: F401 - re-exported to the tests
+    all_assignments,
+    indicator,
+    lap_brute,
+    random_matching,
+    random_tensor,
+)
 
 
 def dense_from_orbits(n: int, orbits) -> np.ndarray:
@@ -80,33 +89,6 @@ def contract3_mat(t3: np.ndarray, x) -> np.ndarray:
     return np.einsum("ikl,i->kl", t3, x)
 
 
-def all_assignments(shape: MatchingShape):
-    """All one-to-one matchings as column tuples, in lexicographic order."""
-    return list(itertools.permutations(range(shape.n2), shape.n1))
-
-
-def indicator(shape: MatchingShape, cols) -> np.ndarray:
-    x = np.zeros(shape.n)
-    x[np.arange(shape.n1) * shape.n2 + np.asarray(cols, dtype=np.intp)] = 1.0
-    return x
-
-
-def lap_brute(profit: np.ndarray):
-    """Exhaustive linear assignment maximum: (best objective, best columns).
-
-    Objectives are accumulated in row order, matching how tests score the
-    solver's output, so equality comparisons are exact.
-    """
-    n1, n2 = profit.shape
-    rows = np.arange(n1)
-    best_obj, best_cols = -np.inf, None
-    for cols in itertools.permutations(range(n2), n1):
-        obj = float(profit[rows, np.asarray(cols)].sum())
-        if obj > best_obj:
-            best_obj, best_cols = obj, cols
-    return best_obj, best_cols
-
-
 def qap_brute(A: np.ndarray, shape: MatchingShape):
     """Exhaustive quadratic assignment maximum: (best objective, best columns)."""
     best_obj, best_cols = -np.inf, None
@@ -126,17 +108,3 @@ def matching_brute(tensor: SparseSymmetricTensor3):
         if obj > best_obj:
             best_obj, best_cols = obj, cols
     return best_obj, best_cols
-
-
-def random_tensor(rng, shape: MatchingShape, orbits: int) -> SparseSymmetricTensor3:
-    triples = np.array(
-        [rng.choice(shape.n, size=3, replace=False) for _ in range(orbits)]
-    )
-    return SparseSymmetricTensor3(shape, triples, rng.uniform(0.0, 1.0, size=orbits))
-
-
-def random_matching(rng, shape: MatchingShape):
-    from hypermatch import AssignmentVector
-
-    cols = tuple(int(c) for c in rng.permutation(shape.n2)[: shape.n1])
-    return AssignmentVector(shape, cols)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from hypermatch import ExperimentSpec, harness, prepare_case, run_grid
+from hypermatch.bcagm import TENSOR_METHODS, run_method
 from hypermatch.cli import main
 
 SQUARE = [[0.0, 0.0], [1.0, 0.2], [0.3, 1.1], [-0.8, 0.6]]
@@ -75,6 +77,15 @@ class TestMatch:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["match", str(tmp_path / "absent.json")]) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+    def test_overflowing_coordinates_exit_2(self, tmp_path, capsys):
+        huge = [[1e200 * x, 1e200 * y] for x, y in SQUARE]
+        problem = write_problem(tmp_path / "p.json", points_p=huge, points_q=huge)
+        assert main(["match", problem]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hypermatch: invalid problem:")
+        assert err.count("\n") == 1
+
     def test_deterministic_result_bytes(self, tmp_path):
         problem = write_problem(tmp_path / "p.json")
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -145,15 +156,39 @@ class TestSynth:
         assert code == 0
 
 
+class TestMethodRegistry:
+    @pytest.mark.parametrize("method", list(TENSOR_METHODS))
+    def test_cli_and_harness_run_the_library_method(self, tmp_path, capsys, method):
+        spec = ExperimentSpec(n_in=5, n_out=(3,), sigma=0.03, seed_base=7, methods=(method,))
+        case = prepare_case(spec, 3, 0)
+        ref = run_method(method, case.tensor)
+
+        (record,) = run_grid(spec)
+        assignment, _ = harness._run_method(method, case, None, spec)
+        assert assignment.cols == ref.assignment.cols
+        assert (record.score3, record.iterations) == (ref.score3, ref.outer_iterations)
+
+        problem = write_problem(
+            tmp_path / "p.json",
+            points_p=case.P.tolist(),
+            points_q=case.Q.tolist(),
+            options={"seed": (case.seed + 1) & (2**63 - 1)},
+        )
+        assert main(["match", problem, "--method", method]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["assignment"] == ref.assignment.to_one_based()
+        assert result["score3"] == ref.score3
+
+
 class TestSolverAnomaly:
     def test_trace_violation_exits_3(self, tmp_path, capsys, monkeypatch):
-        import hypermatch.cli as cli_mod
+        import hypermatch.bcagm as bcagm_mod
         from hypermatch import TraceViolation
 
         def broken_solver(*args, **kwargs):
             raise TraceViolation("ascent audit failed")
 
-        monkeypatch.setattr(cli_mod, "bcagm_solve", broken_solver)
+        monkeypatch.setattr(bcagm_mod, "bcagm_solve", broken_solver)
         problem = write_problem(tmp_path / "p.json")
         assert main(["match", problem]) == 3
         assert "anomaly" in capsys.readouterr().err

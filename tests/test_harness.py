@@ -14,7 +14,7 @@ from hypermatch import (
     run_grid,
     trial_seed,
 )
-from hypermatch import harness
+from hypermatch import bcagm, harness
 
 
 class TestGenInstance:
@@ -178,7 +178,7 @@ class TestRunGrid:
         def boom(*args, **kwargs):
             raise ValueError("synthetic failure")
 
-        monkeypatch.setattr(harness, "hopm_baseline", boom)
+        monkeypatch.setattr(bcagm, "hopm_baseline", boom)
         spec = ExperimentSpec(
             n_in=6, n_out=(0,), trials=1, methods=("bcagm", "hopm"), deterministic=True,
         )
@@ -194,7 +194,7 @@ class TestRunGrid:
         def broken_solver(*args, **kwargs):
             raise TraceViolation("ascent audit failed")
 
-        monkeypatch.setattr(harness, "bcagm_solve", broken_solver)
+        monkeypatch.setattr(bcagm, "bcagm_solve", broken_solver)
         spec = ExperimentSpec(n_in=6, n_out=(0,), trials=1, methods=("bcagm",))
         with pytest.raises(TraceViolation):
             run_grid(spec)

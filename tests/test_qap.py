@@ -14,6 +14,7 @@ from hypermatch import (
     reshape_to_profit,
     solve_lap_max,
 )
+from hypermatch import qap as qap_module
 
 
 def random_qap(rng, shape, density=1.0):
@@ -207,3 +208,27 @@ class TestPsiWithGuard:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="subroutine"):
             psi_with_guard(np.zeros((4, 4)), SWAP22, "sinkhorn")
+
+    @pytest.mark.parametrize("method", ["ipfp", "mpm"])
+    def test_rejects_invalid_matrix(self, method):
+        with pytest.raises(ValueError, match="symmetric"):
+            psi_with_guard(np.triu(np.ones((4, 4))), SWAP22, method)
+        with pytest.raises(ValueError, match="nonnegative"):
+            psi_with_guard(-np.ones((4, 4)), SWAP22, method)
+        with pytest.raises(ValueError, match="non-finite"):
+            psi_with_guard(np.full((4, 4), np.nan), SWAP22, method)
+        with pytest.raises(ValueError, match="4x4"):
+            psi_with_guard(np.zeros((3, 3)), SWAP22, method)
+
+    @pytest.mark.parametrize("method", ["ipfp", "mpm"])
+    def test_validates_the_matrix_once(self, method, monkeypatch):
+        calls = []
+        check = qap_module._check_qap
+
+        def counted(A, n):
+            calls.append(n)
+            return check(A, n)
+
+        monkeypatch.setattr(qap_module, "_check_qap", counted)
+        psi_with_guard(random_qap(np.random.default_rng(35), SHAPE22), SWAP22, method)
+        assert calls == [SHAPE22.n]
