@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 
+_OVERFLOW = "triangle features overflow: the coordinates are too large"
+
+
 class DegenerateTriangle(ValueError):
     """The triangle is collinear, coincident, or has a side below min_side."""
 
@@ -96,21 +99,24 @@ def _sine_features(points: np.ndarray, triples: np.ndarray, min_side: float):
     a = points[triples[:, 0]]
     b = points[triples[:, 1]]
     c = points[triples[:, 2]]
-    ab = b - a
-    ac = c - a
-    bc = c - b
-    d_ab = np.hypot(ab[:, 0], ab[:, 1])
-    d_ac = np.hypot(ac[:, 0], ac[:, 1])
-    d_bc = np.hypot(bc[:, 0], bc[:, 1])
-    area2 = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
-    valid = (
-        (d_ab >= min_side) & (d_ac >= min_side) & (d_bc >= min_side) & (area2 > 0.0)
-    )
     feats = np.zeros((len(triples), 3))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Huge coordinates overflow the products to inf and the ratios to NaN;
+    # the callers report that as one error instead of numpy warnings.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ab = b - a
+        ac = c - a
+        bc = c - b
+        d_ab = np.hypot(ab[:, 0], ab[:, 1])
+        d_ac = np.hypot(ac[:, 0], ac[:, 1])
+        d_bc = np.hypot(bc[:, 0], bc[:, 1])
+        area2 = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
         feats[:, 0] = area2 / (d_ab * d_ac)
         feats[:, 1] = area2 / (d_ab * d_bc)
         feats[:, 2] = area2 / (d_ac * d_bc)
+    # A NaN area (inf - inf) stays valid, so its NaN features report the overflow.
+    valid = (
+        (d_ab >= min_side) & (d_ac >= min_side) & (d_bc >= min_side) & (area2 != 0.0)
+    )
     feats[~valid] = 0.0
     return feats, valid
 
@@ -130,6 +136,8 @@ def triangle_feature(points, triple, min_side: float = 1e-9) -> np.ndarray:
     feats, valid = _sine_features(pts, tri, min_side)
     if not valid[0]:
         raise DegenerateTriangle(f"triple {tuple(tri[0])} is degenerate")
+    if not np.all(np.isfinite(feats[0])):
+        raise ValueError(_OVERFLOW)
     return feats[0]
 
 
@@ -199,6 +207,8 @@ def build_tensor(
     q_sets = _scene_triple_sets(rng, n2, sc.q_triple_cap)
     q_feats, q_ok = _sine_features(Q, q_sets, sc.min_side)
     q_sets, q_feats = q_sets[q_ok], q_feats[q_ok]
+    if not (np.all(np.isfinite(p_feats)) and np.all(np.isfinite(q_feats))):
+        raise ValueError(_OVERFLOW)
 
     if not len(p_triples) or not len(q_sets):
         return SparseSymmetricTensor3(shape)

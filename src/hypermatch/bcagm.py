@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
-from .qap import DEFAULT_IPFP_MAX_ITER, DEFAULT_MPM_MAX_ITER, DEFAULT_MPM_TOL, psi_with_guard
+from .qap import psi_with_guard
 from .tensor import LiftedOperator, SparseSymmetricTensor3, alpha_bound
 
 __all__ = [
@@ -43,6 +43,9 @@ SUBROUTINES = ("ipfp", "mpm")
 TERMINATED_STALLED = "stalled"
 TERMINATED_MAX_ITERS = "max_outer_iters"
 
+# Relative tolerance of the stall and merge tests and of the trace audit.
+EQUALITY_TOL_REL = 1e-12
+
 
 class TraceViolation(RuntimeError):
     """A solver trace failed the guaranteed-ascent audit."""
@@ -54,21 +57,13 @@ class SolverConfig:
 
     ``alpha_schedule`` controls the convexification weight: start at zero
     and switch to the safe bound on the first stall (default), use the bound
-    from the start, or never convexify.  ``alpha_override`` replaces the
-    computed bound.  ``raw_ones_start`` runs the four-block variant's first
-    sweep from the all-ones vector instead of a discretized start.
+    from the start, or never convexify.
     """
 
     variant: str = "bcagm"
     subroutine: str = "ipfp"
     alpha_schedule: str = "zero_then_bound"
-    equality_tol_rel: float = 1e-12
     max_outer_iters: int = 100
-    alpha_override: float | None = None
-    raw_ones_start: bool = False
-    ipfp_max_iter: int = DEFAULT_IPFP_MAX_ITER
-    mpm_max_iter: int = DEFAULT_MPM_MAX_ITER
-    mpm_tol: float = DEFAULT_MPM_TOL
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -81,14 +76,8 @@ class SolverConfig:
             raise ValueError(
                 f"alpha_schedule must be one of {ALPHA_SCHEDULES}, got {self.alpha_schedule!r}"
             )
-        if not self.equality_tol_rel > 0.0:
-            raise ValueError("equality_tol_rel must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if self.alpha_override is not None and not (
-            np.isfinite(self.alpha_override) and self.alpha_override >= 0.0
-        ):
-            raise ValueError("alpha_override must be finite and nonnegative")
 
 
 @dataclass
@@ -105,7 +94,7 @@ class SolverTrace:
     alpha_phases: list[dict] = field(default_factory=list)
     terminated: str = ""
 
-    def verify(self, tol: float = 1e-12) -> None:
+    def verify(self, tol: float = EQUALITY_TOL_REL) -> None:
         """Audit the ascent guarantees; raises :class:`TraceViolation`."""
         starts = [p["stage_start"] for p in self.alpha_phases]
         bounds = starts + [len(self.stage_scores)]
@@ -154,10 +143,7 @@ def default_start(tensor: SparseSymmetricTensor3) -> AssignmentVector:
 
 
 def _alpha_phases(tensor: SparseSymmetricTensor3, cfg: SolverConfig) -> list[float]:
-    if cfg.alpha_override is not None:
-        bound = float(cfg.alpha_override)
-    else:
-        bound = alpha_bound(tensor)
+    bound = alpha_bound(tensor)
     return {
         "zero_then_bound": [0.0, bound],
         "bound_always": [bound],
@@ -168,44 +154,24 @@ def _alpha_phases(tensor: SparseSymmetricTensor3, cfg: SolverConfig) -> list[flo
 def _ascent(tensor, cfg, start, nblocks, update):
     """Shared driver: block sweeps, stall detection, merges, alpha phases."""
     shape = tensor.shape
-    tol = cfg.equality_tol_rel
-    raw = cfg.raw_ones_start and start is None and nblocks == 4
-    if start is None and not raw:
+    tol = EQUALITY_TOL_REL
+    if start is None:
         start = default_start(tensor)
-    if start is not None and start.shape != shape:
+    if start.shape != shape:
         raise ValueError(f"start has shape {start.shape}, tensor has {shape}")
 
     trace = SolverTrace()
     u_best = start
-    u_vec = start.indicator() if start is not None else None
-    s4_best: float | None = None
-    if u_best is not None:
-        trace.u_scores3.append(tensor.score(u_vec))
+    u_vec = start.indicator()
+    trace.u_scores3.append(tensor.score(u_vec))
 
-    phases = _alpha_phases(tensor, cfg)
     outer = 0
     hit_cap = False
-    op = LiftedOperator(tensor, phases[0])
-    for phase_index, alpha in enumerate(phases):
+    for alpha in _alpha_phases(tensor, cfg):
         op = LiftedOperator(tensor, alpha)
-        if raw and phase_index == 0:
-            # First sweep from the all-ones blocks; the stall comparison only
-            # starts once every block is a matching, and these stage values
-            # are excluded from the per-phase monotonicity audit.
-            vecs = [np.ones(shape.n) for _ in range(nblocks)]
-            assigns: list[AssignmentVector | None] = [None] * nblocks
-            for b in range(nblocks):
-                a, v, s = update(op, vecs, assigns, b)
-                assigns[b] = a
-                vecs[b] = v
-                trace.stage_scores.append(s)
-            outer += 1
-            f_cur = trace.stage_scores[-1]
-        else:
-            assigns = [u_best] * nblocks
-            vecs = [u_vec] * nblocks
-            f_cur = op.score(u_vec)
-            s4_best = f_cur
+        assigns = [u_best] * nblocks
+        vecs = [u_vec] * nblocks
+        f_cur = s4_best = op.score(u_vec)
         trace.alpha_phases.append(
             {
                 "alpha": float(alpha),
@@ -246,27 +212,20 @@ def _ascent(tensor, cfg, start, nblocks, update):
             # No further improvement in this phase.  Adopt the terminal
             # argmax when it strictly beats the incumbent (the sweeps may
             # have climbed without ever merging).
-            if s4_best is None or s4_new - s4_best > tol * (1.0 + abs(s4_new)):
+            if s4_new - s4_best > tol * (1.0 + abs(s4_new)):
                 u_best, u_vec, s4_best = u_new, u_new_vec, s4_new
                 trace.u_scores3.append(tensor.score(u_vec))
             break
         if hit_cap:
             break
 
-    if u_best is None:
-        # Only reachable when the iteration cap fires during the raw first
-        # sweep; fall back to the best current block.
-        scores4 = [op.score(v) for v in vecs]
-        best_block = int(np.argmax(scores4))
-        u_best, u_vec = assigns[best_block], vecs[best_block]
-        trace.u_scores3.append(tensor.score(u_vec))
-
     trace.terminated = TERMINATED_MAX_ITERS if hit_cap else TERMINATED_STALLED
     trace.verify(tol)
+    # Both scores were computed when the incumbent was adopted, under the last phase.
     return Solution(
         assignment=u_best,
-        score3=tensor.score(u_vec),
-        score4_alpha=op.score(u_vec),
+        score3=trace.u_scores3[-1],
+        score4_alpha=s4_best,
         trace=trace,
         outer_iterations=outer,
     )
@@ -304,14 +263,7 @@ def bcagm_psi_solve(
     def update(op, vecs, assigns, b):
         other = vecs[1 - b]
         A = op.contract_mat(other, other)
-        res = psi_with_guard(
-            A,
-            assigns[b],
-            cfg.subroutine,
-            ipfp_max_iter=cfg.ipfp_max_iter,
-            mpm_max_iter=cfg.mpm_max_iter,
-            mpm_tol=cfg.mpm_tol,
-        )
+        res = psi_with_guard(A, assigns[b], cfg.subroutine)
         a = res.assignment
         return a, a.indicator(), res.objective
 

@@ -19,10 +19,6 @@ from .tensor import MatchingShape
 
 __all__ = ["QapResult", "MpmResult", "qap_objective", "ipfp", "mpm", "psi_with_guard"]
 
-DEFAULT_IPFP_MAX_ITER = 50
-DEFAULT_MPM_MAX_ITER = 300
-DEFAULT_MPM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class QapResult:
@@ -65,7 +61,7 @@ def qap_objective(A, assignment: AssignmentVector) -> float:
     return float(x @ (np.asarray(A, dtype=np.float64) @ x))
 
 
-def ipfp(A, x0: AssignmentVector, max_iter: int = DEFAULT_IPFP_MAX_ITER) -> QapResult:
+def ipfp(A, x0: AssignmentVector, max_iter: int = 50) -> QapResult:
     """Integer projected fixed point iteration with exact line search.
 
     Alternates a linear assignment on the current gradient with a
@@ -113,8 +109,8 @@ def mpm(
     A,
     shape: MatchingShape,
     x0=None,
-    max_iter: int = DEFAULT_MPM_MAX_ITER,
-    tol: float = DEFAULT_MPM_TOL,
+    max_iter: int = 300,
+    tol: float = 1e-10,
 ) -> MpmResult:
     """Max-pooling power iteration.
 
@@ -166,15 +162,7 @@ def mpm(
     return MpmResult(x, iterations, converged, degenerate)
 
 
-def psi_with_guard(
-    A,
-    x0: AssignmentVector,
-    method: str = "ipfp",
-    *,
-    ipfp_max_iter: int = DEFAULT_IPFP_MAX_ITER,
-    mpm_max_iter: int = DEFAULT_MPM_MAX_ITER,
-    mpm_tol: float = DEFAULT_MPM_TOL,
-) -> QapResult:
+def psi_with_guard(A, x0: AssignmentVector, method: str = "ipfp") -> QapResult:
     """Run a QAP subroutine and enforce monotonic ascent.
 
     The max-pooling output is discretized by a linear assignment on the
@@ -187,12 +175,12 @@ def psi_with_guard(
     # The subroutine validates A; the objectives below are read only after it
     # has, so a malformed A fails with the validation message.
     if method == "ipfp":
-        res = ipfp(A, x0, max_iter=ipfp_max_iter)
+        res = ipfp(A, x0)
         candidate, candidate_obj = res.assignment, res.objective
         iterations = res.inner_iterations
     else:
         shape = x0.shape
-        mres = mpm(A, shape, x0.indicator(), max_iter=mpm_max_iter, tol=mpm_tol)
+        mres = mpm(A, shape, x0.indicator())
         candidate = solve_lap_max(reshape_to_profit(mres.vector, shape))
         candidate_obj = qap_objective(A, candidate)
         iterations = mres.iterations

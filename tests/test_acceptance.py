@@ -17,13 +17,13 @@ from hypermatch import (
     LiftedOperator,
     MatchingShape,
     SolverConfig,
-    bcagm_psi_solve,
     bcagm_solve,
     f4_norm_exact,
     prepare_case,
     psi_with_guard,
     qap_objective,
     run_grid,
+    solve,
     solve_lap_max,
 )
 from hypermatch.cli import main as cli_main
@@ -52,7 +52,7 @@ def test_criterion_01_monotonic_ascent():
     for instance in range(100):
         tensor = oracles.random_tensor(rng, shape, 50)
         for name, cfg in SOLVERS:
-            sol = (bcagm_solve if cfg.variant == "bcagm" else bcagm_psi_solve)(tensor, cfg)
+            sol = solve(tensor, cfg)
             u = sol.trace.u_scores3
             strict = all(b - a > -tol * (1.0 + abs(a)) and b > a for a, b in zip(u, u[1:]))
             if not strict:

@@ -51,6 +51,11 @@ class TestTriangleFeature:
         with pytest.raises(DegenerateTriangle):
             triangle_feature(close, (0, 1, 2), min_side=1e-9)
 
+    def test_overflow_raises(self):
+        huge = 1e200 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="overflow"):
+            triangle_feature(huge, (0, 1, 2))
+
     def test_rejects_bad_triple(self):
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError, match="distinct"):
@@ -131,6 +136,12 @@ class TestBuildTensor:
             build_tensor(square, square[:3])
         with pytest.raises(ValueError, match="at least 3"):
             build_tensor(square[:2], square)
+        with pytest.raises(ValueError, match="triangle features overflow"):
+            build_tensor(square, 1e200 * square)
+        # every cross product overflows to inf - inf, a NaN area
+        steep = 1e200 * np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 3.0], [3.0, 7.0]])
+        with pytest.raises(ValueError, match="triangle features overflow"):
+            build_tensor(steep[:3], steep)
 
     def test_collinear_template_yields_empty_tensor(self):
         line = np.column_stack([np.arange(5.0), np.zeros(5)])

@@ -44,8 +44,6 @@ class TestConfig:
             SolverConfig(alpha_schedule="adaptive")
         with pytest.raises(ValueError, match="max_outer_iters"):
             SolverConfig(max_outer_iters=0)
-        with pytest.raises(ValueError, match="alpha_override"):
-            SolverConfig(alpha_override=-1.0)
 
 
 class TestTraceAudit:
@@ -136,18 +134,6 @@ class TestBcagmSolve:
         sol = bcagm_solve(t, start=start)
         assert sol.score3 >= t.score(start.indicator()) - 1e-12
 
-    def test_raw_ones_start(self):
-        rng = np.random.default_rng(43)
-        shape = MatchingShape(4, 6)
-        t = oracles.random_tensor(rng, shape, 40)
-        cfg = SolverConfig(variant="bcagm", raw_ones_start=True)
-        sol = bcagm_solve(t, cfg)
-        assert sol.trace.terminated == "stalled"
-        assert len(sol.trace.u_scores3) >= 1
-        u = sol.trace.u_scores3
-        assert all(b > a for a, b in zip(u, u[1:]))
-        assert sol.score3 == pytest.approx(t.score(sol.assignment.indicator()), rel=1e-12)
-
     def test_start_shape_mismatch(self):
         t = SparseSymmetricTensor3(MatchingShape(3, 4))
         bad = oracles.random_matching(np.random.default_rng(0), MatchingShape(3, 5))
@@ -166,15 +152,6 @@ class TestBcagmSolve:
         # the two-phase schedule can only improve on its first phase
         assert scores["zero_then_bound"] >= scores["zero_only"] - 1e-12
 
-    def test_alpha_override(self):
-        rng = np.random.default_rng(45)
-        shape = MatchingShape(3, 5)
-        t = oracles.random_tensor(rng, shape, 20)
-        sol = bcagm_solve(
-            t, SolverConfig(variant="bcagm", alpha_schedule="bound_always", alpha_override=123.0)
-        )
-        assert sol.trace.alpha_phases[0]["alpha"] == 123.0
-
     def test_iteration_cap_reported(self):
         rng = np.random.default_rng(46)
         shape = MatchingShape(4, 6)
@@ -182,6 +159,31 @@ class TestBcagmSolve:
         sol = bcagm_solve(t, SolverConfig(variant="bcagm", max_outer_iters=1))
         assert sol.trace.terminated == "max_outer_iters"
         assert sol.outer_iterations == 1
+
+
+class TestReturnedScores:
+    def test_scores_equal_a_fresh_evaluation_exactly(self):
+        # The returned scores are the ones held during the ascent; they must
+        # be the very values a fresh evaluation of the matching gives.
+        rng = np.random.default_rng(51)
+        shape = MatchingShape(4, 6)
+        runs = []
+        for _ in range(5):
+            t = oracles.random_tensor(rng, shape, 40)
+            for cfg in ALL_CONFIGS:
+                runs.append((t, solve(t, cfg)))
+                capped = SolverConfig(
+                    variant=cfg.variant, subroutine=cfg.subroutine, max_outer_iters=1
+                )
+                runs.append((t, solve(t, capped)))
+            start = oracles.random_matching(rng, shape)
+            runs.append((t, bcagm_psi_solve(t, start=start)))
+        assert any(sol.trace.terminated == "max_outer_iters" for _, sol in runs)
+        for t, sol in runs:
+            x = sol.assignment.indicator()
+            alpha = sol.trace.alpha_phases[-1]["alpha"]
+            assert sol.score3 == t.score(x)
+            assert sol.score4_alpha == LiftedOperator(t, alpha).score(x)
 
 
 class TestBcagmPsiSolve:

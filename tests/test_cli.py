@@ -77,13 +77,13 @@ class TestMatch:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["match", str(tmp_path / "absent.json")]) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
     def test_overflowing_coordinates_exit_2(self, tmp_path, capsys):
         huge = [[1e200 * x, 1e200 * y] for x, y in SQUARE]
         problem = write_problem(tmp_path / "p.json", points_p=huge, points_q=huge)
         assert main(["match", problem]) == 2
         err = capsys.readouterr().err
         assert err.startswith("hypermatch: invalid problem:")
+        assert "overflow" in err
         assert err.count("\n") == 1
 
     def test_deterministic_result_bytes(self, tmp_path):
