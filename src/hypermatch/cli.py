@@ -194,6 +194,11 @@ def _cmd_match(args) -> int:
         tensor = build_tensor(P, Q, sampling, params)
     except ValueError as exc:
         raise CliError(f"invalid problem: {exc}", EXIT_INVALID) from exc
+    if tensor.nnz == 0:
+        print(
+            "hypermatch: warning: the affinity tensor is empty; the assignment is a guess",
+            file=sys.stderr,
+        )
     solution = run_method(method, tensor, **solver)
 
     result = {

@@ -165,26 +165,24 @@ def mpm(
 def psi_with_guard(A, x0: AssignmentVector, method: str = "ipfp") -> QapResult:
     """Run a QAP subroutine and enforce monotonic ascent.
 
-    The max-pooling output is discretized by a linear assignment on the
-    continuous vector.  The candidate is returned only if its objective is at
-    least the incumbent's; otherwise the incumbent comes back unchanged.
-    This makes either subroutine a valid ascent step.
+    :func:`ipfp` already returns the best of its start and every matching it
+    visits, so its result comes back as is.  The max-pooling output is
+    discretized by a linear assignment on the continuous vector; that
+    candidate is returned only if its objective is at least the incumbent's,
+    otherwise the incumbent comes back unchanged.  This makes either
+    subroutine a valid ascent step.
     """
     if method not in ("ipfp", "mpm"):
         raise ValueError(f"unknown subroutine {method!r}, expected 'ipfp' or 'mpm'")
-    # The subroutine validates A; the objectives below are read only after it
-    # has, so a malformed A fails with the validation message.
     if method == "ipfp":
-        res = ipfp(A, x0)
-        candidate, candidate_obj = res.assignment, res.objective
-        iterations = res.inner_iterations
-    else:
-        shape = x0.shape
-        mres = mpm(A, shape, x0.indicator())
-        candidate = solve_lap_max(reshape_to_profit(mres.vector, shape))
-        candidate_obj = qap_objective(A, candidate)
-        iterations = mres.iterations
+        return ipfp(A, x0)
+    # mpm validates A; the objectives below are read only after it has, so a
+    # malformed A fails with the validation message.
+    shape = x0.shape
+    mres = mpm(A, shape, x0.indicator())
+    candidate = solve_lap_max(reshape_to_profit(mres.vector, shape))
+    candidate_obj = qap_objective(A, candidate)
     incumbent_obj = qap_objective(A, x0)
     if candidate_obj >= incumbent_obj:
-        return QapResult(candidate, candidate_obj, iterations)
-    return QapResult(x0, incumbent_obj, iterations)
+        return QapResult(candidate, candidate_obj, mres.iterations)
+    return QapResult(x0, incumbent_obj, mres.iterations)

@@ -4,8 +4,8 @@ The third-order tensor is stored by canonical orbits: one strictly increasing
 index triple stands for the six permuted copies of a symmetric entry.  A
 :class:`LiftedOperator` evaluates contractions of the lifted fourth-order
 tensor (four index-shifted copies of the third-order one, plus an optional
-convexifying term scaled by ``alpha``) directly from the orbit list; the
-fourth-order tensor itself is never materialized.
+convexifying term scaled by ``alpha``) from the third-order tensor's own
+kernels; the fourth-order tensor itself is never materialized.
 """
 
 from __future__ import annotations
@@ -143,20 +143,9 @@ class SparseSymmetricTensor3:
         return 6.0 * float(np.dot(self.val, x[i] * x[j] * x[k]))
 
     def trilinear(self, x, y, z) -> float:
-        """The symmetric trilinear form evaluated at three vectors."""
-        n = self.shape.n
-        x = _as_vector(x, n, "x")
-        y = _as_vector(y, n, "y")
-        z = _as_vector(z, n, "z")
-        if not self.val.size:
-            return 0.0
-        i, j, k = self.idx[:, 0], self.idx[:, 1], self.idx[:, 2]
-        terms = (
-            x[i] * (y[j] * z[k] + y[k] * z[j])
-            + x[j] * (y[i] * z[k] + y[k] * z[i])
-            + x[k] * (y[i] * z[j] + y[j] * z[i])
-        )
-        return float(np.dot(self.val, terms))
+        """The symmetric trilinear form evaluated at three vectors: ``z . contract_vec(x, y)``."""
+        z = _as_vector(z, self.shape.n, "z")
+        return float(z @ self.contract_vec(x, y))
 
     def contract_vec(self, x, y) -> np.ndarray:
         """Contract two modes: returns the vector ``l -> sum_ij T_ijl x_i y_j``.
@@ -214,7 +203,7 @@ class LiftedOperator:
     Represents the fourth-order tensor whose entries are the sums of the
     third-order entries over each dropped index, plus ``alpha`` times the
     symmetric tensor whose score function is the fourth power of the 2-norm.
-    All contractions are computed from the orbit list.
+    Everything is computed from the third-order tensor's contraction kernels.
     """
 
     tensor: SparseSymmetricTensor3
@@ -231,25 +220,12 @@ class LiftedOperator:
         return self.tensor.shape.n
 
     def form(self, x, y, z, t) -> float:
-        """The symmetric multilinear form at four vectors.
+        """The symmetric multilinear form at four vectors: ``t . contract_vec(x, y, z)``.
 
         Invariant under any permutation of the arguments.
         """
-        n = self.n
-        x = _as_vector(x, n, "x")
-        y = _as_vector(y, n, "y")
-        z = _as_vector(z, n, "z")
-        t = _as_vector(t, n, "t")
-        tn = self.tensor
-        val = (
-            tn.trilinear(x, y, z) * float(t.sum())
-            + tn.trilinear(x, y, t) * float(z.sum())
-            + tn.trilinear(x, z, t) * float(y.sum())
-            + tn.trilinear(y, z, t) * float(x.sum())
-        )
-        if self.alpha:
-            val += self.alpha * g4_form(x, y, z, t)
-        return float(val)
+        t = _as_vector(t, self.n, "t")
+        return float(t @ self.contract_vec(x, y, z))
 
     def score(self, x) -> float:
         """Score function: the form on the diagonal, ``form(x, x, x, x)``.
@@ -257,7 +233,7 @@ class LiftedOperator:
         Equals ``4 * score3(x) * sum(x) + alpha * ||x||_2^4``.
         """
         x = _as_vector(x, self.n, "x")
-        return self.form(x, x, x, x)
+        return 4.0 * self.tensor.score(x) * float(x.sum()) + self.alpha * float(x @ x) ** 2
 
     def contract_vec(self, x, y, z) -> np.ndarray:
         """Gradient-direction contraction: the vector ``form(x, y, z, .)``."""
@@ -266,8 +242,10 @@ class LiftedOperator:
         y = _as_vector(y, n, "y")
         z = _as_vector(z, n, "z")
         tn = self.tensor
-        out = np.full(n, tn.trilinear(x, y, z))
-        out += float(z.sum()) * tn.contract_vec(x, y)
+        cxy = tn.contract_vec(x, y)
+        # The copy that drops the output index is constant: trilinear(x, y, z).
+        out = np.full(n, float(z @ cxy))
+        out += float(z.sum()) * cxy
         out += float(y.sum()) * tn.contract_vec(x, z)
         out += float(x.sum()) * tn.contract_vec(y, z)
         if self.alpha:
@@ -279,17 +257,14 @@ class LiftedOperator:
     def contract_mat(self, x, y) -> np.ndarray:
         """Hessian-direction contraction: the symmetric matrix ``form(x, y, ., .)``."""
         n = self.n
-        if n > DENSE_MATRIX_LIMIT:
-            raise ThresholdExceeded(
-                f"refusing to materialize a {n}x{n} matrix (limit {DENSE_MATRIX_LIMIT})"
-            )
         x = _as_vector(x, n, "x")
         y = _as_vector(y, n, "y")
         tn = self.tensor
-        c = tn.contract_vec(x, y)
-        out = c[:, None] + c[None, :]
+        # The tensor's contract_mat refuses an oversized n before any n x n array.
         mx = tn.contract_mat(x)
         my = mx if y is x else tn.contract_mat(y)
+        c = tn.contract_vec(x, y)
+        out = c[:, None] + c[None, :]
         out += float(y.sum()) * mx
         out += float(x.sum()) * my
         if self.alpha:

@@ -86,6 +86,19 @@ class TestMatch:
         assert "overflow" in err
         assert err.count("\n") == 1
 
+    def test_empty_tensor_warns_but_succeeds(self, tmp_path, capsys):
+        # every triangle falls under min_side, so no orbit is kept
+        tiny = [[1e-12 * x, 1e-12 * y] for x, y in SQUARE]
+        problem = write_problem(tmp_path / "p.json", points_p=tiny, points_q=tiny)
+        assert main(["match", problem]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "hypermatch: warning: the affinity tensor is empty; the assignment is a guess\n"
+        )
+        result = json.loads(captured.out)
+        assert result["score3"] == 0.0
+        assert sorted(result["assignment"]) == [1, 2, 3, 4]
+
     def test_deterministic_result_bytes(self, tmp_path):
         problem = write_problem(tmp_path / "p.json")
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -193,6 +193,13 @@ class TestPsiWithGuard:
                 x0 = oracles.random_matching(rng, shape)
                 res = psi_with_guard(A, x0, method)
                 assert res.objective >= qap_objective(A, x0)
+                if method == "ipfp":
+                    # ipfp never falls below its start, so its result passes as is
+                    direct = ipfp(A, x0)
+                    assert (res.assignment.cols, res.objective) == (
+                        direct.assignment.cols,
+                        direct.objective,
+                    )
 
     def test_sandwich_against_brute_force(self):
         rng = np.random.default_rng(34)

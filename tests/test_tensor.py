@@ -338,7 +338,12 @@ class TestLiftedOperator:
             op = LiftedOperator(t, alpha)
             m = oracles.random_matching(rng, shape).indicator()
             expected = 4.0 * shape.n1 * t.score(m) + alpha * shape.n1**2
-            assert op.score(m) == pytest.approx(expected, rel=1e-12)
+            assert op.score(m) == expected
+
+    def test_contract_mat_threshold(self):
+        op = LiftedOperator(SparseSymmetricTensor3(MatchingShape(2, 3000)), 1.0)
+        with pytest.raises(ThresholdExceeded):
+            op.contract_mat(np.zeros(6000), np.zeros(6000))
 
     def test_score_trivial_cases(self):
         t = SparseSymmetricTensor3(MatchingShape(2, 3))
@@ -403,6 +408,10 @@ class TestImplicitLiftAgainstDense:
                 x, y, z, w = rng.standard_normal((4, shape.n))
                 assert op.form(x, y, z, w) == pytest.approx(
                     oracles.form4(f4, x, y, z, w), rel=1e-10, abs=1e-10
+                )
+                # the closed-form score holds off matchings too
+                assert op.score(x) == pytest.approx(
+                    oracles.form4(f4, x, x, x, x), rel=1e-10, abs=1e-10
                 )
                 np.testing.assert_allclose(
                     op.contract_vec(x, y, z),
