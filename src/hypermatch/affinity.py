@@ -29,9 +29,14 @@ __all__ = [
 
 _OVERFLOW = "triangle features overflow: the coordinates are too large"
 
+# Triangles with a side shorter than this are degenerate.
+MIN_SIDE = 1e-9
+# Scene triple sets are enumerated exhaustively up to this many, sampled beyond.
+Q_TRIPLE_CAP = 200_000
+
 
 class DegenerateTriangle(ValueError):
-    """The triangle is collinear, coincident, or has a side below min_side."""
+    """The triangle is collinear, coincident, or has a side below MIN_SIDE."""
 
 
 @dataclass(frozen=True)
@@ -41,24 +46,18 @@ class SamplingConfig:
     ``triples_per_point * n1`` triples are drawn from the template set (the
     distinct ones are kept); every drawn triple retains its ``knn`` nearest
     scene triangles in feature space.  Scene triple sets are enumerated
-    exhaustively up to ``q_triple_cap`` and sampled beyond that.
+    exhaustively up to ``Q_TRIPLE_CAP`` and sampled beyond that.
     """
 
     triples_per_point: int = 50
     knn: int = 300
-    min_side: float = 1e-9
     seed: int = 0
-    q_triple_cap: int = 200_000
 
     def __post_init__(self) -> None:
         if self.triples_per_point < 1:
             raise ValueError("triples_per_point must be at least 1")
         if self.knn < 1:
             raise ValueError("knn must be at least 1")
-        if not self.min_side > 0.0:
-            raise ValueError("min_side must be positive")
-        if self.q_triple_cap < 1:
-            raise ValueError("q_triple_cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def _as_points(points, name: str) -> np.ndarray:
     return arr
 
 
-def _sine_features(points: np.ndarray, triples: np.ndarray, min_side: float):
+def _sine_features(points: np.ndarray, triples: np.ndarray):
     """Sines of the interior angles at the three vertices, in triple order.
 
     Returns ``(features, valid)``; rows flagged invalid are degenerate and
@@ -115,13 +114,13 @@ def _sine_features(points: np.ndarray, triples: np.ndarray, min_side: float):
         feats[:, 2] = area2 / (d_ac * d_bc)
     # A NaN area (inf - inf) stays valid, so its NaN features report the overflow.
     valid = (
-        (d_ab >= min_side) & (d_ac >= min_side) & (d_bc >= min_side) & (area2 != 0.0)
+        (d_ab >= MIN_SIDE) & (d_ac >= MIN_SIDE) & (d_bc >= MIN_SIDE) & (area2 != 0.0)
     )
     feats[~valid] = 0.0
     return feats, valid
 
 
-def triangle_feature(points, triple, min_side: float = 1e-9) -> np.ndarray:
+def triangle_feature(points, triple) -> np.ndarray:
     """Feature of one triangle: the interior-angle sines in vertex order.
 
     Scale- and rotation-invariant by construction; raises
@@ -133,7 +132,7 @@ def triangle_feature(points, triple, min_side: float = 1e-9) -> np.ndarray:
         raise ValueError("triple must have three distinct indices")
     if tri.min() < 0 or tri.max() >= len(pts):
         raise ValueError(f"triple index outside [0, {len(pts)})")
-    feats, valid = _sine_features(pts, tri, min_side)
+    feats, valid = _sine_features(pts, tri)
     if not valid[0]:
         raise DegenerateTriangle(f"triple {tuple(tri[0])} is degenerate")
     if not np.all(np.isfinite(feats[0])):
@@ -150,15 +149,15 @@ def _sample_sorted_triples(rng: np.random.Generator, m: int, count: int) -> np.n
     return np.unique(draws, axis=0)
 
 
-def _scene_triple_sets(rng: np.random.Generator, n2: int, cap: int) -> np.ndarray:
+def _scene_triple_sets(rng: np.random.Generator, n2: int) -> np.ndarray:
     total = math.comb(n2, 3)
-    if total <= cap:
+    if total <= Q_TRIPLE_CAP:
         return np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(n2), 3)),
             dtype=np.intp,
             count=3 * total,
         ).reshape(total, 3)
-    draws = rng.integers(0, n2, size=(cap, 3))
+    draws = rng.integers(0, n2, size=(Q_TRIPLE_CAP, 3))
     distinct = (
         (draws[:, 0] != draws[:, 1])
         & (draws[:, 0] != draws[:, 2])
@@ -196,16 +195,16 @@ def build_tensor(
     if n1 < 3:
         raise ValueError("P needs at least 3 points to form a triangle")
     if n1 > n2:
-        raise ValueError(f"P may not have more points than Q ({n1} > {n2})")
+        raise ValueError(f"P may not have more points than Q: |P| = {n1} exceeds |Q| = {n2}")
     shape = MatchingShape(n1, n2)
     rng = np.random.default_rng(sc.seed)
 
     p_triples = _sample_sorted_triples(rng, n1, sc.triples_per_point * n1)
-    p_feats, p_ok = _sine_features(P, p_triples, sc.min_side)
+    p_feats, p_ok = _sine_features(P, p_triples)
     p_triples, p_feats = p_triples[p_ok], p_feats[p_ok]
 
-    q_sets = _scene_triple_sets(rng, n2, sc.q_triple_cap)
-    q_feats, q_ok = _sine_features(Q, q_sets, sc.min_side)
+    q_sets = _scene_triple_sets(rng, n2)
+    q_feats, q_ok = _sine_features(Q, q_sets)
     q_sets, q_feats = q_sets[q_ok], q_feats[q_ok]
     if not (np.all(np.isfinite(p_feats)) and np.all(np.isfinite(q_feats))):
         raise ValueError(_OVERFLOW)
@@ -217,34 +216,26 @@ def build_tensor(
     pool_feat = q_feats[:, _VERTEX_ORDERS].reshape(-1, 3)
     k = min(sc.knn, len(pool_idx))
 
-    kept_p = []
-    kept_q = []
-    kept_d2 = []
-    for row in range(len(p_triples)):
-        d2 = ((pool_feat - p_feats[row]) ** 2).sum(axis=1)
+    sel = np.empty((len(p_triples), k), dtype=np.intp)
+    for row, feat in enumerate(p_feats):
+        d2 = ((pool_feat - feat) ** 2).sum(axis=1)
         if k < len(d2):
-            sel = np.argpartition(d2, k - 1)[:k]
+            sel[row] = np.argpartition(d2, k - 1)[:k]
         else:
-            sel = np.arange(len(d2))
-        kept_p.append(np.broadcast_to(p_triples[row], (len(sel), 3)))
-        kept_q.append(pool_idx[sel])
-        kept_d2.append(d2[sel])
-    p_rows = np.concatenate(kept_p)
-    q_rows = np.concatenate(kept_q)
-    dist2 = np.concatenate(kept_d2)
+            sel[row] = np.arange(k)
+    p_rows = np.repeat(p_triples, k, axis=0)
+    q_rows = pool_idx[sel].reshape(-1, 3)
+    dist2 = ((pool_feat[sel] - p_feats[:, None]) ** 2).sum(axis=2).reshape(-1)
 
     if ap.gamma is not None:
         gamma = float(ap.gamma)
     else:
-        mean_d2 = float(dist2.mean()) if dist2.size else 0.0
+        mean_d2 = float(dist2.mean())
         gamma = 1.0 / mean_d2 if mean_d2 > 0.0 else 1.0
     values = np.exp(-gamma * dist2)
 
-    lin = p_rows * n2 + q_rows
-    distinct = (
-        (lin[:, 0] != lin[:, 1]) & (lin[:, 0] != lin[:, 2]) & (lin[:, 1] != lin[:, 2])
-    )
-    return SparseSymmetricTensor3(shape, lin[distinct], values[distinct])
+    # Template rows are p0 < p1 < p2, so the linear indices p * n2 + q never coincide.
+    return SparseSymmetricTensor3(shape, p_rows * n2 + q_rows, values)
 
 
 def build_matrix2(P, Q, params: AffinityParams | None = None) -> np.ndarray:

@@ -46,6 +46,10 @@ TERMINATED_MAX_ITERS = "max_outer_iters"
 # Relative tolerance of the stall and merge tests and of the trace audit.
 EQUALITY_TOL_REL = 1e-12
 
+# Iteration cap and convergence tolerance of the power-method baseline.
+HOPM_MAX_ITER = 100
+HOPM_TOL = 1e-10
+
 
 class TraceViolation(RuntimeError):
     """A solver trace failed the guaranteed-ascent audit."""
@@ -231,6 +235,15 @@ def _ascent(tensor, cfg, start, nblocks, update):
     )
 
 
+def _config_for(variant: str, cfg: SolverConfig | None) -> SolverConfig:
+    """``cfg``, or the default config of ``variant``; a config for the other variant is refused."""
+    if cfg is None:
+        return SolverConfig(variant=variant)
+    if cfg.variant != variant:
+        raise ValueError(f"config is for variant {cfg.variant!r}, not {variant!r}; use solve")
+    return cfg
+
+
 def bcagm_solve(
     tensor: SparseSymmetricTensor3,
     cfg: SolverConfig | None = None,
@@ -238,7 +251,7 @@ def bcagm_solve(
 ) -> Solution:
     """Four-block coordinate ascent; every block update is a globally
     optimal linear assignment on the gradient-direction contraction."""
-    cfg = cfg if cfg is not None else SolverConfig(variant="bcagm")
+    cfg = _config_for("bcagm", cfg)
     shape = tensor.shape
 
     def update(op, vecs, assigns, b):
@@ -258,7 +271,7 @@ def bcagm_psi_solve(
 ) -> Solution:
     """Two-block coordinate ascent; every block update is a guarded
     quadratic assignment step on the Hessian-direction contraction."""
-    cfg = cfg if cfg is not None else SolverConfig(variant="bcagm_psi")
+    cfg = _config_for("bcagm_psi", cfg)
 
     def update(op, vecs, assigns, b):
         other = vecs[1 - b]
@@ -270,24 +283,20 @@ def bcagm_psi_solve(
     return _ascent(tensor, cfg, start, 2, update)
 
 
-def hopm_baseline(
-    tensor: SparseSymmetricTensor3, max_iter: int = 100, tol: float = 1e-10
-) -> Solution:
+def hopm_baseline(tensor: SparseSymmetricTensor3) -> Solution:
     """Third-order power iteration baseline with a final discretization.
 
     Iterates the normalized one-mode contraction from the all-ones direction
     and rounds the limit by a linear assignment.  No ascent guarantee is
     claimed; this exists for score and accuracy comparisons.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     shape = tensor.shape
     n = shape.n
     v = np.ones(n) / np.sqrt(n)
     reason = "max_iters"
     degenerate = False
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(HOPM_MAX_ITER):
         iterations += 1
         w = tensor.contract_vec(v, v)
         norm_w = float(np.linalg.norm(w))
@@ -298,7 +307,7 @@ def hopm_baseline(
         w = w / norm_w
         delta = float(np.linalg.norm(w - v))
         v = w
-        if delta <= tol:
+        if delta <= HOPM_TOL:
             reason = "converged"
             break
     if degenerate:

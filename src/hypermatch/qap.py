@@ -19,6 +19,10 @@ from .tensor import MatchingShape
 
 __all__ = ["QapResult", "MpmResult", "qap_objective", "ipfp", "mpm", "psi_with_guard"]
 
+# Iteration cap of ipfp, and the step below which mpm has converged.
+IPFP_MAX_ITER = 50
+MPM_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class QapResult:
@@ -61,7 +65,7 @@ def qap_objective(A, assignment: AssignmentVector) -> float:
     return float(x @ (np.asarray(A, dtype=np.float64) @ x))
 
 
-def ipfp(A, x0: AssignmentVector, max_iter: int = 50) -> QapResult:
+def ipfp(A, x0: AssignmentVector) -> QapResult:
     """Integer projected fixed point iteration with exact line search.
 
     Alternates a linear assignment on the current gradient with a
@@ -77,7 +81,7 @@ def ipfp(A, x0: AssignmentVector, max_iter: int = 50) -> QapResult:
     best_obj = float(x @ (A @ x))
     trace = [best_obj]
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(IPFP_MAX_ITER):
         iterations += 1
         g = A @ x
         b = solve_lap_max(reshape_to_profit(g, shape))
@@ -105,19 +109,13 @@ def ipfp(A, x0: AssignmentVector, max_iter: int = 50) -> QapResult:
     return QapResult(best, best_obj, iterations, tuple(trace))
 
 
-def mpm(
-    A,
-    shape: MatchingShape,
-    x0=None,
-    max_iter: int = 300,
-    tol: float = 1e-10,
-) -> MpmResult:
+def mpm(A, shape: MatchingShape, x0=None, max_iter: int = 300) -> MpmResult:
     """Max-pooling power iteration.
 
     Each coordinate ``(i, a)`` is updated with its own diagonal term plus,
     for every other row ``j``, the single best partner ``max_b A[(i,a),(j,b)]
     * x[(j,b)]``; the iterate is then renormalized to unit 2-norm.  Stops
-    when successive iterates differ by at most ``tol`` or after ``max_iter``
+    when successive iterates differ by at most ``MPM_TOL`` or after ``max_iter``
     rounds.  Returns the continuous vector; discretization is the caller's
     job.  If an update annihilates the iterate (e.g. ``A = 0``), the previous
     iterate is returned with ``degenerate=True``.
@@ -156,7 +154,7 @@ def mpm(
         new = new / norm_new
         delta = float(np.linalg.norm(new - x))
         x = new
-        if delta <= tol:
+        if delta <= MPM_TOL:
             converged = True
             break
     return MpmResult(x, iterations, converged, degenerate)

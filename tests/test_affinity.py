@@ -7,6 +7,7 @@ from hypermatch import (
     AffinityParams,
     DegenerateTriangle,
     SamplingConfig,
+    affinity,
     build_matrix2,
     build_tensor,
     triangle_feature,
@@ -49,7 +50,7 @@ class TestTriangleFeature:
             triangle_feature(pts, (0, 1, 2))
         close = np.array([[0.0, 0.0], [1e-12, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateTriangle):
-            triangle_feature(close, (0, 1, 2), min_side=1e-9)
+            triangle_feature(close, (0, 1, 2))
 
     def test_overflow_raises(self):
         huge = 1e200 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -122,13 +123,31 @@ class TestBuildTensor:
 
     def test_orbit_canonical_form(self):
         rng = np.random.default_rng(66)
+        n2 = 6
         P = rng.standard_normal((5, 2))
-        Q = rng.standard_normal((6, 2))
+        Q = rng.standard_normal((n2, 2))
         t = build_tensor(P, Q, SamplingConfig(seed=8))
         assert np.all(t.idx[:, 0] < t.idx[:, 1])
         assert np.all(t.idx[:, 1] < t.idx[:, 2])
         order = np.lexsort((t.idx[:, 2], t.idx[:, 1], t.idx[:, 0]))
         np.testing.assert_array_equal(order, np.arange(t.nnz))
+        # every orbit spans three distinct template rows
+        rows = t.idx // n2
+        assert np.all(rows[:, 0] < rows[:, 1]) and np.all(rows[:, 1] < rows[:, 2])
+
+    def test_sampled_scene_triples(self, monkeypatch):
+        # C(12, 3) = 220 scene triple sets exceed the cap, so they are sampled
+        monkeypatch.setattr(affinity, "Q_TRIPLE_CAP", 50)
+        rng = np.random.default_rng(67)
+        P = rng.standard_normal((6, 2))
+        Q = np.concatenate([P + 0.03 * rng.standard_normal((6, 2)), rng.standard_normal((6, 2))])
+        t1 = build_tensor(P, Q, SamplingConfig(seed=9))
+        t2 = build_tensor(P, Q, SamplingConfig(seed=9))
+        assert t1.nnz > 0
+        assert np.all(t1.idx[:, 0] < t1.idx[:, 1])
+        assert np.all(t1.idx[:, 1] < t1.idx[:, 2])
+        np.testing.assert_array_equal(t1.idx, t2.idx)
+        np.testing.assert_array_equal(t1.val, t2.val)
 
     def test_error_contracts(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

@@ -276,7 +276,7 @@ class TestHopmBaseline:
         # indirectly: convergence means successive normalized iterates agree
         rng = np.random.default_rng(50)
         t = oracles.random_tensor(rng, MatchingShape(4, 6), 40)
-        sol = hopm_baseline(t, max_iter=500, tol=1e-12)
+        sol = hopm_baseline(t)
         assert sol.trace.terminated in ("converged", "max_iters")
         assert sol.score3 == pytest.approx(t.score(sol.assignment.indicator()), rel=1e-10)
 
@@ -291,3 +291,10 @@ class TestDispatcher:
     def test_default_config(self):
         t = identity_tensor(3)
         assert solve(t).assignment.cols == (0, 1, 2)
+
+    def test_solvers_refuse_the_other_variant(self):
+        t = identity_tensor(3)
+        with pytest.raises(ValueError, match="solve"):
+            bcagm_solve(t, SolverConfig(variant="bcagm_psi", subroutine="mpm"))
+        with pytest.raises(ValueError, match="solve"):
+            bcagm_psi_solve(t, SolverConfig(subroutine="mpm"))

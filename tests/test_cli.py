@@ -74,6 +74,22 @@ class TestMatch:
         )
         assert main(["match", problem]) == 2
 
+    @pytest.mark.parametrize(
+        "points_p, points_q",
+        [
+            (SQUARE, SQUARE[:3]),
+            (SQUARE[:2], SQUARE),
+            ([[float("nan"), 0.0]] + SQUARE[1:], SQUARE),
+            (SQUARE, SQUARE[:3] + [[float("inf"), 0.0]]),
+        ],
+    )
+    def test_invalid_problem_exits_2_with_one_line(self, tmp_path, capsys, points_p, points_q):
+        problem = write_problem(tmp_path / "p.json", points_p=points_p, points_q=points_q)
+        assert main(["match", problem]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hypermatch: invalid problem:")
+        assert err.count("\n") == 1
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["match", str(tmp_path / "absent.json")]) == 1
 
