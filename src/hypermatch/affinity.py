@@ -27,16 +27,15 @@ __all__ = [
 ]
 
 
-_OVERFLOW = "triangle features overflow: the coordinates are too large"
-
-# Triangles with a side shorter than this are degenerate.
+# Triangles with a side shorter than this are degenerate; sides are measured
+# after the point set is rescaled to a half-extent in [0.5, 1).
 MIN_SIDE = 1e-9
 # Scene triple sets are enumerated exhaustively up to this many, sampled beyond.
 Q_TRIPLE_CAP = 200_000
 
 
 class DegenerateTriangle(ValueError):
-    """The triangle is collinear, coincident, or has a side below MIN_SIDE."""
+    """Collinear, coincident, or with a side below MIN_SIDE relative to the set's extent."""
 
 
 @dataclass(frozen=True)
@@ -92,16 +91,19 @@ def _as_points(points, name: str) -> np.ndarray:
 def _sine_features(points: np.ndarray, triples: np.ndarray):
     """Sines of the interior angles at the three vertices, in triple order.
 
-    Returns ``(features, valid)``; rows flagged invalid are degenerate and
-    must be skipped by the caller.
+    Returns ``(features, valid)``; rows flagged invalid are degenerate, hold
+    arbitrary values and must be skipped by the caller.
     """
-    a = points[triples[:, 0]]
-    b = points[triples[:, 1]]
-    c = points[triples[:, 2]]
+    # A power-of-two rescale is exact and commutes with every step below; it
+    # brings the half-extent into [0.5, 1), where no product overflows.  Only a
+    # coordinate that every point shares (a collinear set) can overflow, to inf.
+    _, e = np.frexp((points.max(axis=0) / 2 - points.min(axis=0) / 2).max())
     feats = np.zeros((len(triples), 3))
-    # Huge coordinates overflow the products to inf and the ratios to NaN;
-    # the callers report that as one error instead of numpy warnings.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        points = np.ldexp(points, -e)
+        a = points[triples[:, 0]]
+        b = points[triples[:, 1]]
+        c = points[triples[:, 2]]
         ab = b - a
         ac = c - a
         bc = c - b
@@ -112,11 +114,9 @@ def _sine_features(points: np.ndarray, triples: np.ndarray):
         feats[:, 0] = area2 / (d_ab * d_ac)
         feats[:, 1] = area2 / (d_ab * d_bc)
         feats[:, 2] = area2 / (d_ac * d_bc)
-    # A NaN area (inf - inf) stays valid, so its NaN features report the overflow.
     valid = (
         (d_ab >= MIN_SIDE) & (d_ac >= MIN_SIDE) & (d_bc >= MIN_SIDE) & (area2 != 0.0)
     )
-    feats[~valid] = 0.0
     return feats, valid
 
 
@@ -135,8 +135,6 @@ def triangle_feature(points, triple) -> np.ndarray:
     feats, valid = _sine_features(pts, tri)
     if not valid[0]:
         raise DegenerateTriangle(f"triple {tuple(tri[0])} is degenerate")
-    if not np.all(np.isfinite(feats[0])):
-        raise ValueError(_OVERFLOW)
     return feats[0]
 
 
@@ -206,8 +204,6 @@ def build_tensor(
     q_sets = _scene_triple_sets(rng, n2)
     q_feats, q_ok = _sine_features(Q, q_sets)
     q_sets, q_feats = q_sets[q_ok], q_feats[q_ok]
-    if not (np.all(np.isfinite(p_feats)) and np.all(np.isfinite(q_feats))):
-        raise ValueError(_OVERFLOW)
 
     if not len(p_triples) or not len(q_sets):
         return SparseSymmetricTensor3(shape)

@@ -106,12 +106,14 @@ def _parse_points(raw, key: str, where: str) -> np.ndarray:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(c, (int, float)) for c in entry)
+            or not all(type(c) in (int, float) for c in entry)  # not bool, an int subclass
         ):
             raise CliError(
                 f"{where}: field '{key}' entry {i} must be a pair of numbers", EXIT_USAGE
             )
-    return np.asarray(raw, dtype=np.float64)
+    # Through str, an integer beyond the float range reads as inf, as the
+    # literal 1e400 does, and build_tensor rejects it as non-finite.
+    return np.array([[float(str(c)) for c in entry] for entry in raw])
 
 
 def _load_problem(path: str):
@@ -120,7 +122,7 @@ def _load_problem(path: str):
             document = json.load(fp)
     except OSError as exc:
         raise CliError(f"cannot read problem file: {exc}", EXIT_USAGE) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer longer than Python converts
         raise CliError(f"problem file is not valid JSON: {exc}", EXIT_USAGE) from exc
     if not isinstance(document, dict):
         raise CliError("problem file: top level must be an object", EXIT_USAGE)
@@ -171,13 +173,10 @@ def _cmd_match(args) -> int:
             )
         solver["alpha_schedule"] = _ALPHA_MODES[alpha_mode]
     ints = _given(options, args, "triples_per_point", "knn", "seed")
-    floats = _given(options, args, "sigma_s")
     try:
         sampling = SamplingConfig(**{k: int(v) for k, v in ints.items()})
-        params = AffinityParams(
-            **{k: float(v) for k, v in floats.items()}, **_given(options, args, "gamma")
-        )
-    except (TypeError, ValueError) as exc:
+        params = AffinityParams(**_given(options, args, "gamma"))
+    except (TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
         raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from exc
 
     try:

@@ -81,6 +81,8 @@ class TestMatch:
             (SQUARE[:2], SQUARE),
             ([[float("nan"), 0.0]] + SQUARE[1:], SQUARE),
             (SQUARE, SQUARE[:3] + [[float("inf"), 0.0]]),
+            # an integer beyond the float range reads as inf, like 1e400
+            (SQUARE, SQUARE[:3] + [[0, -(10**400)]]),
         ],
     )
     def test_invalid_problem_exits_2_with_one_line(self, tmp_path, capsys, points_p, points_q):
@@ -93,19 +95,50 @@ class TestMatch:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["match", str(tmp_path / "absent.json")]) == 1
 
-    def test_overflowing_coordinates_exit_2(self, tmp_path, capsys):
-        huge = [[1e200 * x, 1e200 * y] for x, y in SQUARE]
-        problem = write_problem(tmp_path / "p.json", points_p=huge, points_q=huge)
-        assert main(["match", problem]) == 2
+    def test_boolean_coordinates_exit_1(self, tmp_path, capsys):
+        problem = write_problem(tmp_path / "p.json", points_p=[[True, False]] + SQUARE[1:])
+        assert main(["match", problem]) == 1
+        assert "entry 0 must be a pair of numbers" in capsys.readouterr().err
+
+    def test_integer_beyond_python_limit_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"format_version": 1, "points_p": [[0, 0], [1, 0], [0, 1]], '
+            '"points_q": [[0, 0], [1, 0], [0, ' + "1" * 5000 + "]]}"
+        )
+        assert main(["match", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("hypermatch: invalid problem:")
-        assert "overflow" in err
+        assert err.startswith("hypermatch: problem file is not valid JSON:")
         assert err.count("\n") == 1
 
+    def test_huge_coordinates_match_like_unit_ones(self, tmp_path, capsys):
+        huge = [[1e200 * x, 1e200 * y] for x, y in SQUARE]
+        problem = write_problem(tmp_path / "p.json", points_p=huge, points_q=huge)
+        assert main(["match", problem]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["assignment"] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("options", [{"knn": "many"}, {"knn": 1e400}, {"gamma": -1.0}])
+    def test_invalid_option_value_exits_1(self, tmp_path, capsys, options):
+        problem = write_problem(tmp_path / "p.json", options=options)
+        assert main(["match", problem]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hypermatch: invalid option value:")
+        assert err.count("\n") == 1
+
+    def test_sigma_s_option_is_ignored(self, tmp_path):
+        plain = write_problem(tmp_path / "plain.json")
+        tuned = write_problem(tmp_path / "tuned.json", options={"sigma_s": -1})
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(["match", plain, "--deterministic", "--output", str(out1)]) == 0
+        assert main(["match", tuned, "--deterministic", "--output", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_empty_tensor_warns_but_succeeds(self, tmp_path, capsys):
-        # every triangle falls under min_side, so no orbit is kept
-        tiny = [[1e-12 * x, 1e-12 * y] for x, y in SQUARE]
-        problem = write_problem(tmp_path / "p.json", points_p=tiny, points_q=tiny)
+        # every triangle is collinear, so no orbit is kept
+        line = [[float(i), 2.0 * i] for i in range(4)]
+        problem = write_problem(tmp_path / "p.json", points_p=line, points_q=line)
         assert main(["match", problem]) == 0
         captured = capsys.readouterr()
         assert captured.err == (
