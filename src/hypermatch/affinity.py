@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .tensor import MatchingShape, SparseSymmetricTensor3
+from .tensor import MatchingShape, SparseSymmetricTensor3, unique_rows
 
 __all__ = [
     "SamplingConfig",
@@ -144,7 +145,7 @@ def _sample_sorted_triples(rng: np.random.Generator, m: int, count: int) -> np.n
     for row in range(count):
         draws[row] = rng.choice(m, size=3, replace=False)
     draws.sort(axis=1)
-    return np.unique(draws, axis=0)
+    return unique_rows(draws)[0]
 
 
 def _scene_triple_sets(rng: np.random.Generator, n2: int) -> np.ndarray:
@@ -163,12 +164,23 @@ def _scene_triple_sets(rng: np.random.Generator, n2: int) -> np.ndarray:
     )
     draws = draws[distinct].astype(np.intp)
     draws.sort(axis=1)
-    return np.unique(draws, axis=0)
+    return unique_rows(draws)[0]
 
 
 # Vertex orders in which each scene triple set is offered for alignment; any
 # rotation or reflection of a candidate triangle can match a sampled one.
 _VERTEX_ORDERS = np.array(list(itertools.permutations(range(3))), dtype=np.intp)
+
+
+def _knn(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
+    """Pool rows of the ``k`` features nearest to each template feature.
+
+    Exact kNN by kd-tree.  Each row is sorted by pool index, so gamma's mean
+    is summed in a canonical order that any exact kNN reproduces; a tie at
+    the k-th distance may fall to either pool row.
+    """
+    _, sel = cKDTree(pool_feat).query(p_feats, k)
+    return np.sort(np.asarray(sel, dtype=np.intp).reshape(len(p_feats), k), axis=1)
 
 
 def build_tensor(
@@ -212,15 +224,11 @@ def build_tensor(
     pool_feat = q_feats[:, _VERTEX_ORDERS].reshape(-1, 3)
     k = min(sc.knn, len(pool_idx))
 
-    sel = np.empty((len(p_triples), k), dtype=np.intp)
-    for row, feat in enumerate(p_feats):
-        d2 = ((pool_feat - feat) ** 2).sum(axis=1)
-        if k < len(d2):
-            sel[row] = np.argpartition(d2, k - 1)[:k]
-        else:
-            sel[row] = np.arange(k)
+    sel = _knn(pool_feat, p_feats, k)
     p_rows = np.repeat(p_triples, k, axis=0)
     q_rows = pool_idx[sel].reshape(-1, 3)
+    # Recomputed here rather than taken from the kd-tree, so every entry is
+    # the same expression on the same operands whatever finds the neighbours.
     dist2 = ((pool_feat[sel] - p_feats[:, None]) ** 2).sum(axis=2).reshape(-1)
 
     if ap.gamma is not None:

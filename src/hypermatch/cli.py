@@ -173,10 +173,17 @@ def _cmd_match(args) -> int:
             )
         solver["alpha_schedule"] = _ALPHA_MODES[alpha_mode]
     ints = _given(options, args, "triples_per_point", "knn", "seed")
+    reals = _given(options, args, "gamma")
+    for key, value in ints.items():
+        if type(value) is not int:  # not bool, an int subclass, nor a fraction
+            raise CliError(f"invalid option value: {key} must be an integer", EXIT_USAGE)
+    for key, value in reals.items():
+        if type(value) not in (int, float):
+            raise CliError(f"invalid option value: {key} must be a number", EXIT_USAGE)
     try:
-        sampling = SamplingConfig(**{k: int(v) for k, v in ints.items()})
-        params = AffinityParams(**_given(options, args, "gamma"))
-    except (TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
+        sampling = SamplingConfig(**ints)
+        params = AffinityParams(**{k: float(v) for k, v in reals.items()})
+    except (ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from exc
 
     try:

@@ -80,6 +80,18 @@ def _as_vector(x, n: int, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (m, 3) index array in lexicographic order, and
+    for each input row the position of its distinct row."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
 class SparseSymmetricTensor3:
     """Nonnegative symmetric third-order tensor in canonical-orbit storage.
 
@@ -115,10 +127,10 @@ class SparseSymmetricTensor3:
                 idx = np.sort(idx, axis=1)
                 if np.any(idx[:, 0] == idx[:, 1]) or np.any(idx[:, 1] == idx[:, 2]):
                     raise ValueError("triples with a repeated index are not allowed")
-                idx, inverse = np.unique(idx, axis=0, return_inverse=True)
-                val = np.bincount(
-                    inverse.reshape(-1), weights=val, minlength=idx.shape[0]
-                )
+                idx, inverse = unique_rows(idx)
+                # bincount adds the weights in input order, so duplicates sum
+                # as they come.
+                val = np.bincount(inverse, weights=val, minlength=idx.shape[0])
         idx.setflags(write=False)
         val.setflags(write=False)
         self.shape = shape

@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything defined here works on dense arrays with explicit permutation
-loops, so it shares no code path with the orbit-based package internals.
+loops, or is the scan or sort the package has since replaced, so it shares
+no code path with the orbit-based package internals.
 The random instances and the enumeration and LAP brute force come from
 ``hypermatch.selfcheck``, which runs the same references.
 """
@@ -98,6 +99,30 @@ def qap_brute(A: np.ndarray, shape: MatchingShape):
         if obj > best_obj:
             best_obj, best_cols = obj, cols
     return best_obj, best_cols
+
+
+def knn_brute(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
+    """k nearest pool rows per template feature by a full scan, each row in
+    ``argpartition``'s order (the tensor build's kNN before the kd-tree)."""
+    sel = np.empty((len(p_feats), k), dtype=np.intp)
+    for row, feat in enumerate(p_feats):
+        d2 = ((pool_feat - feat) ** 2).sum(axis=1)
+        if k < len(d2):
+            sel[row] = np.argpartition(d2, k - 1)[:k]
+        else:
+            sel[row] = np.arange(k)
+    return sel
+
+
+def canonical_orbits(triples, values):
+    """Canonical orbit storage by ``np.unique(axis=0)``: sorted distinct
+    triples and the summed values of their duplicates."""
+    idx = np.sort(np.asarray(triples, dtype=np.intp), axis=1)
+    idx, inverse = np.unique(idx, axis=0, return_inverse=True)
+    val = np.bincount(
+        inverse.reshape(-1), weights=np.asarray(values, dtype=np.float64), minlength=len(idx)
+    )
+    return idx, val
 
 
 def matching_brute(tensor: SparseSymmetricTensor3):

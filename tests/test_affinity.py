@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from hypermatch import (
     AffinityParams,
     DegenerateTriangle,
@@ -12,6 +13,7 @@ from hypermatch import (
     affinity,
     build_matrix2,
     build_tensor,
+    run_method,
     triangle_feature,
 )
 
@@ -172,6 +174,104 @@ class TestBuildTensor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert build_tensor(line[:3], line).nnz == 0
+
+
+def scene_instance(seed, n_in, n_out, sigma=0.03):
+    """The synthetic protocol: a noisy copy of the template plus outliers, permuted."""
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((n_in, 2))
+    Q = np.concatenate([P + sigma * rng.standard_normal((n_in, 2)), rng.standard_normal((n_out, 2))])
+    return P, Q[rng.permutation(n_in + n_out)]
+
+
+def grid_instance():
+    """A 4x4 grid scene and six of its points: rich in congruent triangles,
+    so many template rows tie at the k-th distance."""
+    Q = np.array([[float(x), float(y)] for x in range(4) for y in range(4)])
+    return Q[[0, 1, 5, 6, 10, 15]], Q
+
+
+def recorded_knn(monkeypatch):
+    """Wrap the build's kNN step; returns the list of its (args, result) calls."""
+    calls = []
+    knn = affinity._knn
+
+    def record(pool_feat, p_feats, k):
+        sel = knn(pool_feat, p_feats, k)
+        calls.append(((pool_feat, p_feats, k), sel))
+        return sel
+
+    monkeypatch.setattr(affinity, "_knn", record)
+    return calls
+
+
+def selected_dist2(pool_feat, p_feats, sel):
+    return ((pool_feat[sel] - p_feats[:, None]) ** 2).sum(axis=2)
+
+
+class TestKnn:
+    """The kd-tree kNN against the brute-force scan it replaced (oracles.knn_brute)."""
+
+    @pytest.mark.parametrize(
+        "seed, n_in, n_out, knn",
+        [(1, 10, 30, 300), (2, 10, 40, 300), (3, 10, 40, 7), (4, 10, 5, 7), (5, 3, 0, 300)],
+    )
+    def test_neighbour_sets_equal_the_scan(self, monkeypatch, seed, n_in, n_out, knn):
+        calls = recorded_knn(monkeypatch)
+        P, Q = scene_instance(seed, n_in, n_out)
+        build_tensor(P, Q, SamplingConfig(knn=knn))
+        ((pool_feat, p_feats, k), sel), = calls
+        assert sel.shape == (len(p_feats), k)
+        np.testing.assert_array_equal(sel, np.sort(sel, axis=1))
+        brute = np.sort(oracles.knn_brute(pool_feat, p_feats, k), axis=1)
+        for row in range(len(sel)):
+            np.testing.assert_array_equal(sel[row], brute[row])
+
+    @pytest.mark.parametrize("knn", [1, 7, 40])
+    def test_ties_on_a_grid_keep_the_distances(self, monkeypatch, knn):
+        calls = recorded_knn(monkeypatch)
+        P, Q = grid_instance()
+        t1 = build_tensor(P, Q, SamplingConfig(knn=knn))
+        t2 = build_tensor(P, Q, SamplingConfig(knn=knn))
+        assert t1.idx.tobytes() == t2.idx.tobytes()
+        assert t1.val.tobytes() == t2.val.tobytes()
+        (pool_feat, p_feats, k), sel = calls[0]
+        brute = oracles.knn_brute(pool_feat, p_feats, k)
+        np.testing.assert_array_equal(
+            np.sort(selected_dist2(pool_feat, p_feats, sel), axis=1),
+            np.sort(selected_dist2(pool_feat, p_feats, brute), axis=1),
+        )
+
+
+class TestGammaSummationOrder:
+    """Sorting each kNN row by pool index fixes the order in which gamma's
+    mean is summed.  Against the tensor built from the scan's argpartition
+    order, that moves ``val`` by a few ulps at most and nothing else."""
+
+    # the val bytes move on (13, 10, 20) and (16, 10, 15) and not on the others
+    @pytest.mark.parametrize(
+        "seed, n_in, n_out", [(11, 10, 0), (12, 10, 10), (13, 10, 20), (14, 8, 30), (16, 10, 15)]
+    )
+    def test_within_ulps_of_the_scan_order(self, monkeypatch, seed, n_in, n_out):
+        P, Q = scene_instance(seed, n_in, n_out)
+        tree = build_tensor(P, Q)
+        monkeypatch.setattr(affinity, "_knn", oracles.knn_brute)
+        scan = build_tensor(P, Q)
+        assert tree.idx.tobytes() == scan.idx.tobytes()
+        np.testing.assert_allclose(tree.val, scan.val, rtol=1e-14, atol=0.0)
+        for method in ("bcagm", "hopm"):
+            a_tree = run_method(method, tree).assignment.to_one_based()
+            a_scan = run_method(method, scan).assignment.to_one_based()
+            assert a_tree == a_scan
+
+    def test_explicit_gamma_is_bit_identical(self, monkeypatch):
+        P, Q = scene_instance(15, 8, 12)
+        params = AffinityParams(gamma=3.0)
+        tree = build_tensor(P, Q, params=params)
+        monkeypatch.setattr(affinity, "_knn", oracles.knn_brute)
+        scan = build_tensor(P, Q, params=params)
+        assert tree.idx.tobytes() == scan.idx.tobytes()
+        assert tree.val.tobytes() == scan.val.tobytes()
 
 
 class TestBuildMatrix2:

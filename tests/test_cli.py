@@ -119,7 +119,20 @@ class TestMatch:
         assert captured.err == ""
         assert json.loads(captured.out)["assignment"] == [1, 2, 3, 4]
 
-    @pytest.mark.parametrize("options", [{"knn": "many"}, {"knn": 1e400}, {"gamma": -1.0}])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"knn": "many"},
+            {"knn": 1e400},
+            {"gamma": -1.0},
+            {"seed": True},
+            {"knn": 2.7},
+            {"triples_per_point": 3.0},
+            {"gamma": True},
+            {"gamma": "1"},
+            {"gamma": 10**400},
+        ],
+    )
     def test_invalid_option_value_exits_1(self, tmp_path, capsys, options):
         problem = write_problem(tmp_path / "p.json", options=options)
         assert main(["match", problem]) == 1

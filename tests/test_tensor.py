@@ -55,6 +55,20 @@ class TestConstruction:
         assert t.idx.tolist() == [[0, 1, 3], [2, 4, 5]]
         np.testing.assert_allclose(t.val, [3.0, 0.5])
 
+    @pytest.mark.parametrize("seed, n1, n2, m", [(0, 2, 3, 40), (1, 4, 6, 500), (2, 10, 40, 5000)])
+    def test_matches_the_unique_oracle(self, seed, n1, n2, m):
+        # few distinct triples, so most rows are duplicates in some vertex order
+        rng = np.random.default_rng(seed)
+        shape = MatchingShape(n1, n2)
+        base = np.array([rng.choice(shape.n, 3, replace=False) for _ in range(max(1, m // 8))])
+        triples = base[rng.integers(0, len(base), m)]
+        triples = np.take_along_axis(triples, rng.permuted(np.tile([0, 1, 2], (m, 1)), axis=1), 1)
+        values = rng.random(m)
+        t = SparseSymmetricTensor3(shape, triples, values)
+        idx, val = oracles.canonical_orbits(triples, values)
+        assert t.idx.tobytes() == idx.tobytes()
+        assert t.val.tobytes() == val.tobytes()
+
     def test_rejects_repeated_indices(self):
         shape = MatchingShape(2, 3)
         with pytest.raises(ValueError, match="repeated"):
