@@ -58,6 +58,8 @@ class SamplingConfig:
             raise ValueError("triples_per_point must be at least 1")
         if self.knn < 1:
             raise ValueError("knn must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

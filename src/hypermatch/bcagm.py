@@ -46,6 +46,9 @@ TERMINATED_MAX_ITERS = "max_outer_iters"
 # Relative tolerance of the stall and merge tests and of the trace audit.
 EQUALITY_TOL_REL = 1e-12
 
+# Safety cap on block sweeps; the ascent stalls by itself on finitely many matchings.
+MAX_OUTER_ITERS = 100
+
 # Iteration cap and convergence tolerance of the power-method baseline.
 HOPM_MAX_ITER = 100
 HOPM_TOL = 1e-10
@@ -67,7 +70,6 @@ class SolverConfig:
     variant: str = "bcagm"
     subroutine: str = "ipfp"
     alpha_schedule: str = "zero_then_bound"
-    max_outer_iters: int = 100
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -80,8 +82,6 @@ class SolverConfig:
             raise ValueError(
                 f"alpha_schedule must be one of {ALPHA_SCHEDULES}, got {self.alpha_schedule!r}"
             )
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
 
 
 @dataclass
@@ -184,7 +184,7 @@ def _ascent(tensor, cfg, start, nblocks, update):
             }
         )
         while True:
-            if outer >= cfg.max_outer_iters:
+            if outer >= MAX_OUTER_ITERS:
                 hit_cap = True
                 break
             outer += 1

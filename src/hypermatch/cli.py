@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -79,13 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--triples-per-point", type=int, dest="triples_per_point")
     synth.add_argument("--knn", type=int)
     synth.add_argument("--sigma-s", type=float, dest="sigma_s")
-    synth.add_argument("--threads", type=int, default=None, help="0 = auto")
+    synth.add_argument("--threads", type=int, default=1, help="0 = auto")
     synth.add_argument("--deterministic", action="store_true")
     synth.add_argument("--output", help="CSV file (default: stdout)")
     synth.set_defaults(func=_cmd_synth)
 
     check = sub.add_parser("selfcheck", help="run the fast invariant suite")
-    check.add_argument("--force-fail", action="store_true", help=argparse.SUPPRESS)
     check.set_defaults(func=_cmd_selfcheck)
     return parser
 
@@ -127,7 +125,7 @@ def _load_problem(path: str):
     if not isinstance(document, dict):
         raise CliError("problem file: top level must be an object", EXIT_USAGE)
     version = _require(document, "format_version", int, "problem file")
-    if version != FORMAT_VERSION:
+    if type(version) is bool or version != FORMAT_VERSION:
         raise CliError(
             f"problem file: field 'format_version' must be {FORMAT_VERSION}", EXIT_USAGE
         )
@@ -137,6 +135,18 @@ def _load_problem(path: str):
     if not isinstance(options, dict):
         raise CliError("problem file: field 'options' must be an object", EXIT_USAGE)
     return P, Q, options
+
+
+def _write_output(path: str | None, payload: str) -> None:
+    """Write ``payload`` to the file ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(payload)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fp:
+            fp.write(payload)
+    except OSError as exc:
+        raise CliError(f"cannot write output file: {exc}", EXIT_USAGE) from exc
 
 
 def _given(options: dict, args, *keys: str) -> dict:
@@ -159,14 +169,14 @@ def _cmd_match(args) -> int:
     P, Q, options = _load_problem(args.input)
     given = _given(options, args, "method", "alpha_mode")
     method = given.get("method", ExperimentSpec.methods[0])
-    if method not in TENSOR_METHODS:
+    if not isinstance(method, str) or method not in TENSOR_METHODS:
         raise CliError(
             f"unknown method {method!r}, expected one of {tuple(TENSOR_METHODS)}", EXIT_USAGE
         )
     solver = {}
     if "alpha_mode" in given:
         alpha_mode = given["alpha_mode"]
-        if alpha_mode not in _ALPHA_MODES:
+        if not isinstance(alpha_mode, str) or alpha_mode not in _ALPHA_MODES:
             raise CliError(
                 f"unknown alpha mode {alpha_mode!r}, expected one of {sorted(_ALPHA_MODES)}",
                 EXIT_USAGE,
@@ -208,12 +218,7 @@ def _cmd_match(args) -> int:
         "outer_iterations": solution.outer_iterations,
         "trace": solution.trace.as_dict(),
     }
-    payload = json.dumps(result, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_output(args.output, json.dumps(result, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -241,18 +246,6 @@ def _parse_n_out(raw: str) -> tuple[int, ...]:
     return (value,)
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("HYPERMATCH_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise CliError(f"bad HYPERMATCH_THREADS value {env!r}", EXIT_USAGE) from exc
-    return 1
-
-
 def _cmd_synth(args) -> int:
     chosen = {}
     if args.methods is not None:
@@ -270,23 +263,21 @@ def _cmd_synth(args) -> int:
             sampling=SamplingConfig(**_given({}, args, "triples_per_point", "knn")),
             affinity=AffinityParams(**_given({}, args, "sigma_s")),
             deterministic=args.deterministic,
-            threads=_resolve_threads(args),
+            threads=args.threads,
             **chosen,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
-    records = run_grid(spec)
-    payload = records_to_csv(records)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(payload)
-    else:
-        sys.stdout.write(payload)
+    try:
+        records = run_grid(spec)
+    except ValueError as exc:  # build_tensor's verdict on a generated instance
+        raise CliError(f"invalid problem: {exc}", EXIT_INVALID) from exc
+    _write_output(args.output, records_to_csv(records))
     return EXIT_OK
 
 
 def _cmd_selfcheck(args) -> int:
-    results = run_selfcheck(force_fail=args.force_fail)
+    results = run_selfcheck()
     all_ok = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"

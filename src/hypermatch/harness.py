@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -65,14 +66,16 @@ class ExperimentSpec:
         object.__setattr__(self, "n_out", n_out)
         if any(v < 0 for v in n_out):
             raise ValueError("n_out values must be nonnegative")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and positive")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         methods = tuple(self.methods)
         object.__setattr__(self, "methods", methods)
+        if not methods:
+            raise ValueError("methods must not be empty")
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}, expected subset of {METHODS}")
@@ -136,15 +139,18 @@ def gen_instance(n_in: int, n_out: int, sigma: float, scale: float, seed: int):
         raise ValueError("n_in must be at least 3")
     if n_out < 0:
         raise ValueError("n_out must be nonnegative")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be finite and positive")
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((n_in, 2))
-    inliers = P + sigma * rng.standard_normal((n_in, 2))
-    outliers = rng.standard_normal((n_out, 2))
-    Q = np.concatenate([inliers, outliers], axis=0) * scale
+    # A finite sigma or scale near the float limit can overflow a coordinate
+    # to inf; build_tensor rejects such points, so numpy's warning is muted.
+    with np.errstate(over="ignore"):
+        inliers = P + sigma * rng.standard_normal((n_in, 2))
+        outliers = rng.standard_normal((n_out, 2))
+        Q = np.concatenate([inliers, outliers], axis=0) * scale
     perm = rng.permutation(n_in + n_out)
     Q = Q[perm]
     gt = np.argsort(perm)[:n_in].copy()

@@ -19,23 +19,19 @@ from .tensor import MatchingShape
 
 __all__ = ["QapResult", "MpmResult", "qap_objective", "ipfp", "mpm", "psi_with_guard"]
 
-# Iteration cap of ipfp, and the step below which mpm has converged.
+# Iteration caps of ipfp and mpm, and the step below which mpm has converged.
 IPFP_MAX_ITER = 50
+MPM_MAX_ITER = 300
 MPM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class QapResult:
-    """Outcome of a quadratic assignment subroutine.
-
-    ``objective_trace`` holds the objective of the continuous iterate after
-    every inner step, when the subroutine tracks one.
-    """
+    """Outcome of a quadratic assignment subroutine."""
 
     assignment: AssignmentVector
     objective: float
     inner_iterations: int
-    objective_trace: tuple[float, ...] = ()
 
 
 class MpmResult(NamedTuple):
@@ -77,13 +73,12 @@ def ipfp(A, x0: AssignmentVector) -> QapResult:
     shape = x0.shape
     A = _check_qap(A, shape.n)
     x = x0.indicator()
+    g = A @ x  # once per iterate: the start objective, each LAP profit, the final one
     best = x0
-    best_obj = float(x @ (A @ x))
-    trace = [best_obj]
+    best_obj = float(x @ g)
     iterations = 0
     for _ in range(IPFP_MAX_ITER):
         iterations += 1
-        g = A @ x
         b = solve_lap_max(reshape_to_profit(g, shape))
         bx = b.indicator()
         b_obj = float(bx @ (A @ bx))
@@ -100,25 +95,25 @@ def ipfp(A, x0: AssignmentVector) -> QapResult:
         else:
             step = min(1.0, -ascent / curvature)
         x = x + step * d
-        trace.append(float(x @ (A @ x)))
-    final = solve_lap_max(reshape_to_profit(A @ x, shape))
+        g = A @ x
+    final = solve_lap_max(reshape_to_profit(g, shape))
     fx = final.indicator()
     final_obj = float(fx @ (A @ fx))
     if final_obj > best_obj:
         best, best_obj = final, final_obj
-    return QapResult(best, best_obj, iterations, tuple(trace))
+    return QapResult(best, best_obj, iterations)
 
 
-def mpm(A, shape: MatchingShape, x0=None, max_iter: int = 300) -> MpmResult:
+def mpm(A, shape: MatchingShape, x0=None) -> MpmResult:
     """Max-pooling power iteration.
 
     Each coordinate ``(i, a)`` is updated with its own diagonal term plus,
     for every other row ``j``, the single best partner ``max_b A[(i,a),(j,b)]
     * x[(j,b)]``; the iterate is then renormalized to unit 2-norm.  Stops
-    when successive iterates differ by at most ``MPM_TOL`` or after ``max_iter``
-    rounds.  Returns the continuous vector; discretization is the caller's
-    job.  If an update annihilates the iterate (e.g. ``A = 0``), the previous
-    iterate is returned with ``degenerate=True``.
+    when successive iterates differ by at most ``MPM_TOL`` or after
+    ``MPM_MAX_ITER`` rounds.  Returns the continuous vector; discretization
+    is the caller's job.  If an update annihilates the iterate (e.g.
+    ``A = 0``), the previous iterate is returned with ``degenerate=True``.
     """
     n = shape.n
     A = _check_qap(A, n)
@@ -140,7 +135,7 @@ def mpm(A, shape: MatchingShape, x0=None, max_iter: int = 300) -> MpmResult:
     converged = False
     degenerate = False
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MPM_MAX_ITER):
         iterations += 1
         xm = x.reshape(n1, n2)
         pooled = (blocks * xm[None, None, :, :]).max(axis=3)  # (n1, n2, n1)

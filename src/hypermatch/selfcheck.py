@@ -183,8 +183,5 @@ GROUPS = (
 )
 
 
-def run_selfcheck(force_fail: bool = False) -> list[CheckResult]:
-    results = [group() for group in GROUPS]
-    if force_fail:
-        results.append(CheckResult("forced-failure", False, "failure injected by flag"))
-    return results
+def run_selfcheck() -> list[CheckResult]:
+    return [group() for group in GROUPS]

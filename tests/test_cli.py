@@ -95,6 +95,35 @@ class TestMatch:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["match", str(tmp_path / "absent.json")]) == 1
 
+    def test_boolean_format_version_exits_1(self, tmp_path, capsys):
+        problem = write_problem(tmp_path / "p.json", format_version=True)
+        assert main(["match", problem]) == 1
+        assert "format_version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"method": ["bcagm"]},
+            {"method": {"name": "bcagm"}},
+            {"alpha_mode": ["zero"]},
+            {"alpha_mode": {}},
+        ],
+    )
+    def test_non_string_method_or_alpha_mode_exits_1(self, tmp_path, capsys, options):
+        problem = write_problem(tmp_path / "p.json", options=options)
+        assert main(["match", problem]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hypermatch: unknown")
+        assert err.count("\n") == 1
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        problem = write_problem(tmp_path / "p.json")
+        out = tmp_path / "missing" / "r.json"
+        assert main(["match", problem, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hypermatch: cannot write output file:")
+        assert err.count("\n") == 1
+
     def test_boolean_coordinates_exit_1(self, tmp_path, capsys):
         problem = write_problem(tmp_path / "p.json", points_p=[[True, False]] + SQUARE[1:])
         assert main(["match", problem]) == 1
@@ -131,6 +160,7 @@ class TestMatch:
             {"gamma": True},
             {"gamma": "1"},
             {"gamma": 10**400},
+            {"seed": -1},
         ],
     )
     def test_invalid_option_value_exits_1(self, tmp_path, capsys, options):
@@ -207,28 +237,30 @@ class TestSynth:
         assert main(["synth", "--n-in", "6", "--n-out", "5:1:1"]) == 1
         assert main(["synth", "--n-in", "6", "--methods", "bcagm,unknown"]) == 1
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPERMATCH_THREADS", "2")
-        out = tmp_path / "r.csv"
-        code = main([
-            "synth", "--n-in", "6", "--n-out", "0", "--trials", "2",
-            "--methods", "hopm", "--output", str(out),
-        ])
-        assert code == 0
-        assert len(out.read_text().splitlines()) == 3
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sigma", "nan"], ["--sigma", "inf"], ["--scale", "inf"], ["--methods", ","]],
+    )
+    def test_bad_grid_exits_1_with_one_line(self, capsys, flags):
+        assert main(["synth", "--n-in", "4", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hypermatch: ")
+        assert err.count("\n") == 1
 
-    def test_bad_env_threads_exit_1(self, monkeypatch):
-        monkeypatch.setenv("HYPERMATCH_THREADS", "many")
-        assert main(["synth", "--n-in", "6", "--methods", "hopm"]) == 1
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning included
+    def test_overflowing_instance_exits_2_with_one_line(self, capsys):
+        flags = ["--n-in", "4", "--n-out", "4", "--scale", "1e308", "--seed", "3"]
+        assert main(["synth", *flags, "--methods", "hopm"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "hypermatch: invalid problem: Q has non-finite coordinates\n"
+        assert captured.out == ""
 
-    def test_threads_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPERMATCH_THREADS", "many")  # ignored when flagged
-        out = tmp_path / "r.csv"
-        code = main([
-            "synth", "--n-in", "6", "--n-out", "0", "--trials", "1",
-            "--methods", "hopm", "--threads", "1", "--output", str(out),
-        ])
-        assert code == 0
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["synth", "--n-in", "4", "--methods", "hopm", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hypermatch: cannot write output file:")
+        assert err.count("\n") == 1
 
 
 class TestMethodRegistry:
@@ -277,9 +309,18 @@ class TestSelfcheck:
         assert len(names) == len(set(names)) == 5
         assert all("PASS" in line for line in out.strip().splitlines())
 
-    def test_forced_failure_exits_4(self, capsys):
-        assert main(["selfcheck", "--force-fail"]) == 4
-        assert "FAIL" in capsys.readouterr().out
+    def test_forced_failure_exits_4(self, capsys, monkeypatch):
+        from hypermatch import selfcheck
+
+        def failing():
+            return selfcheck.CheckResult("injected", False, "always fails")
+
+        monkeypatch.setattr(selfcheck, "GROUPS", (*selfcheck.GROUPS, failing))
+        assert main(["selfcheck"]) == 4
+        assert "injected: FAIL (always fails)" in capsys.readouterr().out
+
+    def test_force_fail_flag_is_gone(self):
+        assert main(["selfcheck", "--force-fail"]) == 1
 
 
 class TestUsage:

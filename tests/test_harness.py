@@ -52,6 +52,9 @@ class TestGenInstance:
             gen_instance(5, 0, -0.1, 1.0, seed=0)
         with pytest.raises(ValueError):
             gen_instance(5, 0, 0.0, 0.0, seed=0)
+        for sigma, scale in [(float("nan"), 1.0), (float("inf"), 1.0), (0.0, float("inf"))]:
+            with pytest.raises(ValueError, match="finite"):
+                gen_instance(5, 0, sigma, scale, seed=0)
 
 
 class TestAccuracy:
@@ -101,6 +104,9 @@ class TestExperimentSpec:
             ExperimentSpec(n_in=5, trials=0)
         with pytest.raises(ValueError):
             ExperimentSpec(n_in=5, scale=0.0)
+        for sigma, scale in [(float("nan"), 1.0), (float("inf"), 1.0), (0.0, float("inf"))]:
+            with pytest.raises(ValueError, match="finite"):
+                ExperimentSpec(n_in=5, sigma=sigma, scale=scale)
 
 
 class TestRunGrid:
@@ -117,8 +123,8 @@ class TestRunGrid:
         assert rec.wall_time_ms == 0.0
 
     def test_empty_methods(self):
-        spec = ExperimentSpec(n_in=5, methods=())
-        assert run_grid(spec) == []
+        with pytest.raises(ValueError, match="methods must not be empty"):
+            ExperimentSpec(n_in=5, methods=())
 
     def test_row_order_and_count(self):
         spec = ExperimentSpec(

@@ -83,18 +83,6 @@ class TestIpfp:
             recomputed = qap_objective(A, res.assignment)
             assert res.objective == pytest.approx(recomputed, rel=1e-10)
 
-    def test_continuous_objective_non_decreasing(self):
-        # the exact line search makes the inner objective sequence monotone
-        rng = np.random.default_rng(35)
-        shape = MatchingShape(3, 5)
-        for _ in range(20):
-            A = random_qap(rng, shape)
-            x0 = oracles.random_matching(rng, shape)
-            trace = ipfp(A, x0).objective_trace
-            assert len(trace) >= 1
-            for a, b in zip(trace, trace[1:]):
-                assert b >= a - 1e-12 * (1.0 + abs(a))
-
     def test_rejects_invalid_matrix(self):
         with pytest.raises(ValueError, match="symmetric"):
             ipfp(np.triu(np.ones((4, 4))), SWAP22)
@@ -113,11 +101,12 @@ class TestMpm:
         assert not res.converged
         np.testing.assert_allclose(res.vector, np.ones(4) / 2.0)
 
-    def test_one_update_concentrates_on_dominant_block(self):
+    def test_one_update_concentrates_on_dominant_block(self, monkeypatch):
         # pairwise support for the identity matching only
         A = np.zeros((4, 4))
         A[0, 3] = A[3, 0] = 2.0
-        res = mpm(A, SHAPE22, np.ones(4), max_iter=1)
+        monkeypatch.setattr(qap_module, "MPM_MAX_ITER", 1)
+        res = mpm(A, SHAPE22, np.ones(4))
         expected = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
         np.testing.assert_allclose(res.vector, expected, atol=1e-15)
 
@@ -131,9 +120,10 @@ class TestMpm:
             assert float(np.linalg.norm(res.vector)) == pytest.approx(1.0, rel=1e-12)
             assert res.vector.min() >= 0.0
 
-    def test_diagonal_term_participates(self):
+    def test_diagonal_term_participates(self, monkeypatch):
         A = np.diag([4.0, 1.0, 1.0, 4.0])
-        res = mpm(A, SHAPE22, np.ones(4), max_iter=1)
+        monkeypatch.setattr(qap_module, "MPM_MAX_ITER", 1)
+        res = mpm(A, SHAPE22, np.ones(4))
         expected = np.array([4.0, 1.0, 1.0, 4.0]) / 2.0
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(res.vector, expected, atol=1e-15)
