@@ -92,6 +92,20 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first], inverse
 
 
+def _run_offsets(col: np.ndarray, n: int) -> np.ndarray:
+    """``offsets[l]:offsets[l + 1]`` spans the entries equal to ``l`` of
+    ``col`` once sorted; int32."""
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=n), out=offsets[1:])
+    return offsets
+
+
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[t]:starts[t] + counts[t]``, concatenated."""
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return shift + np.arange(shift.size)
+
+
 class SparseSymmetricTensor3:
     """Nonnegative symmetric third-order tensor in canonical-orbit storage.
 
@@ -101,9 +115,15 @@ class SparseSymmetricTensor3:
     duplicate triples are summed.  Instances are immutable and safe to share
     across threads; all contractions run in the fixed stored-orbit order, so
     repeated evaluations are bit-identical.
+
+    :meth:`contract_vec` on sparse vectors, such as matchings, visits only the
+    orbits with two or more indices in the vectors' support.  It finds them
+    through an incidence index, built on the first such call and cached; an
+    orbit with two indices in the support has its smallest or its middle
+    index there, so the index covers those two positions only.
     """
 
-    __slots__ = ("shape", "idx", "val")
+    __slots__ = ("shape", "idx", "val", "_incidence")
 
     def __init__(self, shape: MatchingShape, triples=None, values=None):
         n = shape.n
@@ -136,6 +156,7 @@ class SparseSymmetricTensor3:
         self.shape = shape
         self.idx = idx
         self.val = val
+        self._incidence = None
 
     @property
     def nnz(self) -> int:
@@ -159,25 +180,90 @@ class SparseSymmetricTensor3:
         z = _as_vector(z, self.shape.n, "z")
         return float(z @ self.contract_vec(x, y))
 
+    def _orbit_incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Incidence index of the two smallest indices of each orbit.
+
+        Orbits are stored in lexicographic order, so the orbits whose
+        smallest index is ``l`` are the ids ``first[l]:first[l + 1]``.  The
+        ids of the orbits whose middle index is ``l`` are
+        ``middle_ids[middle[l]:middle[l + 1]]``, ascending.  Built on first
+        use; concurrent first calls build equal arrays and publish them with
+        a single assignment.
+        """
+        incidence = self._incidence
+        if incidence is None:
+            n = self.shape.n
+            first, middle = (_run_offsets(self.idx[:, c], n) for c in (0, 1))
+            # Keys of 16 bits or fewer, n <= 65536, take numpy's radix sort.
+            keys = self.idx[:, 1].astype(np.min_scalar_type(n - 1))
+            middle_ids = np.argsort(keys, kind="stable").astype(np.int32)
+            incidence = (first, middle, middle_ids)
+            for arr in incidence:
+                arr.setflags(write=False)
+            self._incidence = incidence
+        return incidence
+
+    def _orbits_within(self, support: np.ndarray) -> np.ndarray | None:
+        """Ids, in stored order, of the orbits with two or more indices in
+        ``support``; ``None`` when finding them costs more than a full pass."""
+        first, middle, middle_ids = self._orbit_incidence()
+        by_first = first[support], first[support + 1] - first[support]
+        by_middle = middle[support], middle[support + 1] - middle[support]
+        if int(by_first[1].sum()) + int(by_middle[1].sum()) >= self.nnz:
+            return None
+        inside = np.zeros(self.shape.n, dtype=bool)
+        inside[support] = True
+        i, j, k = self.idx[:, 0], self.idx[:, 1], self.idx[:, 2]
+        # Orbits (i, j, k) with i inside need j or k inside; those with i
+        # outside and j inside need k inside.  No orbit is in both sets.
+        a = _segments(*by_first)
+        a = a[inside[j[a]] | inside[k[a]]]
+        b = middle_ids[_segments(*by_middle)]
+        b = b[inside[k[b]] & ~inside[i[b]]]
+        keep = np.concatenate([a, b])
+        keep.sort()
+        return keep
+
     def contract_vec(self, x, y) -> np.ndarray:
         """Contract two modes: returns the vector ``l -> sum_ij T_ijl x_i y_j``.
 
         Each orbit ``(i, j, k, v)`` sends ``v * (x_a y_b + x_b y_a)`` to the
         output coordinate ``c`` for each choice of ``c`` in ``{i, j, k}``,
         ``{a, b}`` being the two remaining indices.
+
+        An orbit with fewer than two indices in ``supp(x) | supp(y)`` sends
+        only exact zeros.  When the incidence index lists fewer entries for
+        the support than there are stored orbits, only the other orbits are
+        visited; ``bincount`` then adds the same nonzero terms in the same
+        order, so the result is bit-identical to a full pass.
         """
         n = self.shape.n
+        same = y is x
         x = _as_vector(x, n, "x")
-        y = _as_vector(y, n, "y")
-        if not self.val.size:
-            return np.zeros(n)
+        y = x if same else _as_vector(y, n, "y")
         i, j, k = self.idx[:, 0], self.idx[:, 1], self.idx[:, 2]
-        w_i = self.val * (x[j] * y[k] + x[k] * y[j])
-        w_j = self.val * (x[i] * y[k] + x[k] * y[i])
-        w_k = self.val * (x[i] * y[j] + x[j] * y[i])
-        out = np.bincount(i, weights=w_i, minlength=n)
-        out += np.bincount(j, weights=w_j, minlength=n)
-        out += np.bincount(k, weights=w_k, minlength=n)
+        val = self.val
+        support = np.flatnonzero(x if same else (x != 0.0) | (y != 0.0))
+        if val.size and support.size < n:
+            keep = self._orbits_within(support)
+            if keep is not None:
+                i, j, k, val = i[keep], j[keep], k[keep], val[keep]
+        if not val.size:
+            # bincount of no terms gives integer zeros.
+            return np.zeros(n)
+        if same:
+            # x_a x_b + x_b x_a is 2 (x_a x_b) bit for bit.
+            x_i, x_j, x_k = x[i], x[j], x[k]
+            p = x_j * x_k
+            out = np.bincount(i, weights=val * (p + p), minlength=n)
+            p = x_i * x_k
+            out += np.bincount(j, weights=val * (p + p), minlength=n)
+            p = x_i * x_j
+            out += np.bincount(k, weights=val * (p + p), minlength=n)
+            return out
+        out = np.bincount(i, weights=val * (x[j] * y[k] + x[k] * y[j]), minlength=n)
+        out += np.bincount(j, weights=val * (x[i] * y[k] + x[k] * y[i]), minlength=n)
+        out += np.bincount(k, weights=val * (x[i] * y[j] + x[j] * y[i]), minlength=n)
         return out
 
     def contract_mat(self, x) -> np.ndarray:
@@ -254,12 +340,21 @@ class LiftedOperator:
         y = _as_vector(y, n, "y")
         z = _as_vector(z, n, "z")
         tn = self.tensor
+        # Repeated arguments reuse a contraction: contract_vec(y, x) equals
+        # contract_vec(x, y) bit for bit.
         cxy = tn.contract_vec(x, y)
+        cxz = cxy if z is y else tn.contract_vec(x, z)
+        if y is x:
+            cyz = cxz
+        elif z is x:
+            cyz = cxy
+        else:
+            cyz = tn.contract_vec(y, z)
         # The copy that drops the output index is constant: trilinear(x, y, z).
         out = np.full(n, float(z @ cxy))
         out += float(z.sum()) * cxy
-        out += float(y.sum()) * tn.contract_vec(x, z)
-        out += float(x.sum()) * tn.contract_vec(y, z)
+        out += float(y.sum()) * cxz
+        out += float(x.sum()) * cyz
         if self.alpha:
             out += (self.alpha / 3.0) * (
                 float(x @ y) * z + float(x @ z) * y + float(y @ z) * x

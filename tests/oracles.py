@@ -1,8 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything defined here works on dense arrays with explicit permutation
-loops, or is the scan or sort the package has since replaced, so it shares
-no code path with the orbit-based package internals.
+loops, or is the scan, sort or full orbit pass the package has since
+replaced, so it shares no code path with the orbit-based package internals.
 The random instances and the enumeration and LAP brute force come from
 ``hypermatch.selfcheck``, which runs the same references.
 """
@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from hypermatch import MatchingShape, SparseSymmetricTensor3
+from hypermatch import LiftedOperator, MatchingShape, SparseSymmetricTensor3
 from hypermatch.selfcheck import (  # noqa: F401 - re-exported to the tests
     all_assignments,
     indicator,
@@ -84,6 +84,38 @@ def trilinear3(t3: np.ndarray, x, y, z) -> float:
 
 def contract3_vec(t3: np.ndarray, x, y) -> np.ndarray:
     return np.einsum("ijl,i,j->l", t3, x, y)
+
+
+def contract_vec_full(tensor: SparseSymmetricTensor3, x, y) -> np.ndarray:
+    """``tensor.contract_vec(x, y)`` by a pass over every stored orbit, the
+    package's kernel before it learned to skip orbits outside the support."""
+    n = tensor.shape.n
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if not tensor.val.size:
+        return np.zeros(n)
+    i, j, k = tensor.idx[:, 0], tensor.idx[:, 1], tensor.idx[:, 2]
+    w_i = tensor.val * (x[j] * y[k] + x[k] * y[j])
+    w_j = tensor.val * (x[i] * y[k] + x[k] * y[i])
+    w_k = tensor.val * (x[i] * y[j] + x[j] * y[i])
+    out = np.bincount(i, weights=w_i, minlength=n)
+    out += np.bincount(j, weights=w_j, minlength=n)
+    out += np.bincount(k, weights=w_k, minlength=n)
+    return out
+
+
+def lifted_contract_vec_full(op: LiftedOperator, x, y, z) -> np.ndarray:
+    """``op.contract_vec(x, y, z)`` from three full-pass contractions, one
+    per pair of arguments, with no reuse."""
+    x, y, z = (np.asarray(v, dtype=np.float64) for v in (x, y, z))
+    cxy = contract_vec_full(op.tensor, x, y)
+    out = np.full(op.n, float(z @ cxy))
+    out += float(z.sum()) * cxy
+    out += float(y.sum()) * contract_vec_full(op.tensor, x, z)
+    out += float(x.sum()) * contract_vec_full(op.tensor, y, z)
+    if op.alpha:
+        out += (op.alpha / 3.0) * (float(x @ y) * z + float(x @ z) * y + float(y @ z) * x)
+    return out
 
 
 def contract3_mat(t3: np.ndarray, x) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Tensor storage, contractions, and the implicit fourth-order lift."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hypermatch import (
@@ -96,6 +101,13 @@ class TestConstruction:
         t = SparseSymmetricTensor3(MatchingShape(2, 3), [[0, 1, 2]], [1.0])
         with pytest.raises(ValueError):
             t.val[0] = 2.0
+        with pytest.raises(ValueError):
+            t.idx[0, 0] = 1
+        t.contract_vec(basis(6, 0), basis(6, 1))
+        for arr in t._incidence:
+            assert arr.dtype == np.int32
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestScore:
@@ -205,6 +217,186 @@ class TestContractions:
         assert t.score(x) == t.score(x)
         np.testing.assert_array_equal(t.contract_vec(x, y), t.contract_vec(x, y))
         np.testing.assert_array_equal(t.contract_mat(x), t.contract_mat(x))
+
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def random_tensors(draw):
+    n1 = draw(st.integers(1, 4))
+    # random_tensor draws three distinct indices, so n1 * n2 >= 3.
+    n2 = draw(st.integers(max(n1, -(-3 // n1)), 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return oracles.random_tensor(rng, MatchingShape(n1, n2), draw(st.integers(1, 60)))
+
+
+@st.composite
+def vectors(draw, shape):
+    """A 0/1 matching, or a vector with 0, 1, 2, a few or all n entries set to
+    reals of either sign."""
+    n = shape.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return oracles.random_matching(rng, shape).indicator()
+    size = min(n, draw(st.sampled_from([0, 1, 2, 3, 5, n])))
+    x = np.zeros(n)
+    x[rng.choice(n, size=size, replace=False)] = draw(
+        st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    return x
+
+
+@st.composite
+def tensor_and_pair(draw):
+    """A tensor and ``(x, y)``: ``y`` is ``x``, an equal copy, or drawn apart."""
+    t = draw(random_tensors())
+    x = draw(vectors(t.shape))
+    relation = draw(st.sampled_from(["same", "copy", "other"]))
+    if relation == "same":
+        return t, x, x
+    if relation == "copy":
+        return t, x, x.copy()
+    return t, x, draw(vectors(t.shape))
+
+
+@SETTINGS
+@given(case=tensor_and_pair())
+def test_contract_vec_bytes_equal_the_full_pass(case):
+    t, x, y = case
+    expected = oracles.contract_vec_full(t, x, y).tobytes()
+    assert t.contract_vec(x, y).tobytes() == expected
+    # A second call reads the cached index.
+    assert t.contract_vec(x, y).tobytes() == expected
+
+
+@SETTINGS
+@given(
+    t=random_tensors(),
+    data=st.data(),
+    alpha=st.sampled_from([0.0, 0.5, 3.0]),
+    pattern=st.sampled_from(["uuu", "vuu", "uvu", "uuv", "uvw"]),
+)
+def test_lifted_contract_vec_bytes_equal_three_full_passes(t, data, alpha, pattern):
+    named = {name: data.draw(vectors(t.shape)) for name in "uvw"}
+    args = [named[name] for name in pattern]
+    op = LiftedOperator(t, alpha)
+    expected = oracles.lifted_contract_vec_full(op, *args).tobytes()
+    assert op.contract_vec(*args).tobytes() == expected
+
+
+class TestSupportAwareContraction:
+    def matching_tensor(self, seed=0):
+        shape = MatchingShape(4, 7)
+        return oracles.random_tensor(np.random.default_rng(seed), shape, 300)
+
+    def test_zero_vectors(self):
+        t = self.matching_tensor()
+        zero = np.zeros(t.shape.n)
+        u = oracles.random_matching(np.random.default_rng(1), t.shape).indicator()
+        for x, y in [(zero, zero), (zero, zero.copy()), (zero, u), (u, zero), (-zero, u)]:
+            out = t.contract_vec(x, y)
+            assert out.dtype == np.float64
+            assert out.tobytes() == oracles.contract_vec_full(t, x, y).tobytes()
+
+    def test_empty_tensor(self):
+        t = SparseSymmetricTensor3(MatchingShape(3, 4))
+        u = oracles.random_matching(np.random.default_rng(2), t.shape).indicator()
+        for x, y in [(u, u), (u, np.zeros(12)), (np.ones(12), u)]:
+            assert t.contract_vec(x, y).tobytes() == np.zeros(12).tobytes()
+        op = LiftedOperator(t, 1.0)
+        assert op.contract_vec(u, u, u).tobytes() == (
+            oracles.lifted_contract_vec_full(op, u, u, u).tobytes()
+        )
+
+    def test_support_that_no_orbit_touches(self):
+        t = SparseSymmetricTensor3(MatchingShape(2, 4), [[0, 1, 2], [1, 2, 3]], [1.0, 2.0])
+        x = np.zeros(8)
+        x[[5, 6, 7]] = [1.0, -2.0, 3.0]
+        out = t.contract_vec(x, x)
+        assert out.dtype == np.float64
+        assert out.tobytes() == np.zeros(8).tobytes()
+        # One index in an orbit's support is not enough.
+        y = basis(8, 0)
+        assert t.contract_vec(x, y).tobytes() == oracles.contract_vec_full(t, x, y).tobytes()
+
+    def test_index_is_built_by_the_first_sparse_call_only(self):
+        t = self.matching_tensor()
+        ones = np.ones(t.shape.n)
+        t.contract_vec(ones, ones)
+        assert t._incidence is None
+        u = oracles.random_matching(np.random.default_rng(3), t.shape).indicator()
+        t.contract_vec(u, u)
+        assert t._incidence is not None
+
+    def test_results_do_not_depend_on_call_order(self):
+        rng = np.random.default_rng(4)
+        u = oracles.random_matching(rng, MatchingShape(4, 7)).indicator()
+        # A support of 23 of 28 indices builds the index, then takes the full pass.
+        dense = rng.standard_normal(28)
+        dense[:5] = 0.0
+        sparse_first, dense_first = self.matching_tensor(), self.matching_tensor()
+        a = [sparse_first.contract_vec(u, u), sparse_first.contract_vec(dense, u)]
+        b = [dense_first.contract_vec(dense, u), dense_first.contract_vec(u, u)][::-1]
+        assert [r.tobytes() for r in a] == [r.tobytes() for r in b]
+
+    def test_threads_sharing_a_fresh_tensor_agree(self):
+        rng = np.random.default_rng(5)
+        shape = MatchingShape(4, 7)
+        pairs = [
+            (oracles.random_matching(rng, shape).indicator(),
+             oracles.random_matching(rng, shape).indicator())
+            for _ in range(6)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(10):
+                t = self.matching_tensor(seed)
+                start = threading.Barrier(len(pairs))
+                results = [None] * len(pairs)
+
+                def work(slot, x, y, t=t, start=start, results=results):
+                    start.wait(timeout=10)
+                    results[slot] = t.contract_vec(x, y).tobytes()
+
+                threads = [
+                    threading.Thread(target=work, args=(slot, x, y))
+                    for slot, (x, y) in enumerate(pairs)
+                ]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=10)
+                    assert not th.is_alive()
+                assert results == [
+                    oracles.contract_vec_full(t, x, y).tobytes() for x, y in pairs
+                ]
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_lifted_contract_vec_reuses_repeated_arguments(self, monkeypatch):
+        t = self.matching_tensor()
+        rng = np.random.default_rng(6)
+        u, v, w = (oracles.random_matching(rng, t.shape).indicator() for _ in range(3))
+        calls = []
+        kernel = SparseSymmetricTensor3.contract_vec
+
+        def counted(self, x, y):
+            calls.append(None)
+            return kernel(self, x, y)
+
+        monkeypatch.setattr(SparseSymmetricTensor3, "contract_vec", counted)
+        op = LiftedOperator(t)
+        expected = [((u, u, u), 1), ((v, u, u), 2), ((u, v, u), 2), ((u, u, v), 2), ((u, v, w), 3)]
+        for args, count in expected:
+            calls.clear()
+            op.contract_vec(*args)
+            assert len(calls) == count
 
 
 class TestG4:
