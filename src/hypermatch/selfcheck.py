@@ -44,7 +44,7 @@ def random_tensor(rng, shape: MatchingShape, orbits: int) -> SparseSymmetricTens
     """``orbits`` random triples of distinct indices with uniform [0, 1) values."""
     triples = np.array(
         [rng.choice(shape.n, size=3, replace=False) for _ in range(orbits)]
-    )
+    ).reshape(orbits, 3)
     return SparseSymmetricTensor3(shape, triples, rng.uniform(0.0, 1.0, size=orbits))
 
 

@@ -92,20 +92,6 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first], inverse
 
 
-def _run_offsets(col: np.ndarray, n: int) -> np.ndarray:
-    """``offsets[l]:offsets[l + 1]`` spans the entries equal to ``l`` of
-    ``col`` once sorted; int32."""
-    offsets = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=n), out=offsets[1:])
-    return offsets
-
-
-def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[t]:starts[t] + counts[t]``, concatenated."""
-    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return shift + np.arange(shift.size)
-
-
 class SparseSymmetricTensor3:
     """Nonnegative symmetric third-order tensor in canonical-orbit storage.
 
@@ -115,15 +101,9 @@ class SparseSymmetricTensor3:
     duplicate triples are summed.  Instances are immutable and safe to share
     across threads; all contractions run in the fixed stored-orbit order, so
     repeated evaluations are bit-identical.
-
-    :meth:`contract_vec` on sparse vectors, such as matchings, visits only the
-    orbits with two or more indices in the vectors' support.  It finds them
-    through an incidence index, built on the first such call and cached; an
-    orbit with two indices in the support has its smallest or its middle
-    index there, so the index covers those two positions only.
     """
 
-    __slots__ = ("shape", "idx", "val", "_incidence")
+    __slots__ = ("shape", "idx", "val")
 
     def __init__(self, shape: MatchingShape, triples=None, values=None):
         n = shape.n
@@ -156,7 +136,6 @@ class SparseSymmetricTensor3:
         self.shape = shape
         self.idx = idx
         self.val = val
-        self._incidence = None
 
     @property
     def nnz(self) -> int:
@@ -180,50 +159,6 @@ class SparseSymmetricTensor3:
         z = _as_vector(z, self.shape.n, "z")
         return float(z @ self.contract_vec(x, y))
 
-    def _orbit_incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Incidence index of the two smallest indices of each orbit.
-
-        Orbits are stored in lexicographic order, so the orbits whose
-        smallest index is ``l`` are the ids ``first[l]:first[l + 1]``.  The
-        ids of the orbits whose middle index is ``l`` are
-        ``middle_ids[middle[l]:middle[l + 1]]``, ascending.  Built on first
-        use; concurrent first calls build equal arrays and publish them with
-        a single assignment.
-        """
-        incidence = self._incidence
-        if incidence is None:
-            n = self.shape.n
-            first, middle = (_run_offsets(self.idx[:, c], n) for c in (0, 1))
-            # Keys of 16 bits or fewer, n <= 65536, take numpy's radix sort.
-            keys = self.idx[:, 1].astype(np.min_scalar_type(n - 1))
-            middle_ids = np.argsort(keys, kind="stable").astype(np.int32)
-            incidence = (first, middle, middle_ids)
-            for arr in incidence:
-                arr.setflags(write=False)
-            self._incidence = incidence
-        return incidence
-
-    def _orbits_within(self, support: np.ndarray) -> np.ndarray | None:
-        """Ids, in stored order, of the orbits with two or more indices in
-        ``support``; ``None`` when finding them costs more than a full pass."""
-        first, middle, middle_ids = self._orbit_incidence()
-        by_first = first[support], first[support + 1] - first[support]
-        by_middle = middle[support], middle[support + 1] - middle[support]
-        if int(by_first[1].sum()) + int(by_middle[1].sum()) >= self.nnz:
-            return None
-        inside = np.zeros(self.shape.n, dtype=bool)
-        inside[support] = True
-        i, j, k = self.idx[:, 0], self.idx[:, 1], self.idx[:, 2]
-        # Orbits (i, j, k) with i inside need j or k inside; those with i
-        # outside and j inside need k inside.  No orbit is in both sets.
-        a = _segments(*by_first)
-        a = a[inside[j[a]] | inside[k[a]]]
-        b = middle_ids[_segments(*by_middle)]
-        b = b[inside[k[b]] & ~inside[i[b]]]
-        keep = np.concatenate([a, b])
-        keep.sort()
-        return keep
-
     def contract_vec(self, x, y) -> np.ndarray:
         """Contract two modes: returns the vector ``l -> sum_ij T_ijl x_i y_j``.
 
@@ -232,10 +167,10 @@ class SparseSymmetricTensor3:
         ``{a, b}`` being the two remaining indices.
 
         An orbit with fewer than two indices in ``supp(x) | supp(y)`` sends
-        only exact zeros.  When the incidence index lists fewer entries for
-        the support than there are stored orbits, only the other orbits are
-        visited; ``bincount`` then adds the same nonzero terms in the same
-        order, so the result is bit-identical to a full pass.
+        only exact zeros.  When the support is not all of ``n``, as for a
+        matching, only the other orbits are visited, in stored order;
+        ``bincount`` then adds the same nonzero terms in the same order, so
+        the result is bit-identical to a full pass.
         """
         n = self.shape.n
         same = y is x
@@ -243,11 +178,12 @@ class SparseSymmetricTensor3:
         y = x if same else _as_vector(y, n, "y")
         i, j, k = self.idx[:, 0], self.idx[:, 1], self.idx[:, 2]
         val = self.val
-        support = np.flatnonzero(x if same else (x != 0.0) | (y != 0.0))
-        if val.size and support.size < n:
-            keep = self._orbits_within(support)
-            if keep is not None:
-                i, j, k, val = i[keep], j[keep], k[keep], val[keep]
+        inside = x != 0.0 if same else (x != 0.0) | (y != 0.0)
+        if not inside.all():
+            # Summed as uint8, since bool addition is a logical or.
+            count = inside.view(np.uint8)
+            keep = np.flatnonzero(count[i] + count[j] + count[k] >= 2)
+            i, j, k, val = i[keep], j[keep], k[keep], val[keep]
         if not val.size:
             # bincount of no terms gives integer zeros.
             return np.zeros(n)
@@ -330,15 +266,16 @@ class LiftedOperator:
 
         Equals ``4 * score3(x) * sum(x) + alpha * ||x||_2^4``.
         """
-        x = _as_vector(x, self.n, "x")
+        # tensor.score checks x.
+        x = np.asarray(x, dtype=np.float64)
         return 4.0 * self.tensor.score(x) * float(x.sum()) + self.alpha * float(x @ x) ** 2
 
     def contract_vec(self, x, y, z) -> np.ndarray:
         """Gradient-direction contraction: the vector ``form(x, y, z, .)``."""
         n = self.n
-        x = _as_vector(x, n, "x")
-        y = _as_vector(y, n, "y")
-        z = _as_vector(z, n, "z")
+        # The tensor's contract_vec checks each operand on its first use.
+        # asarray returns a float64 array as it is, so identities survive.
+        x, y, z = (np.asarray(v, dtype=np.float64) for v in (x, y, z))
         tn = self.tensor
         # Repeated arguments reuse a contraction: contract_vec(y, x) equals
         # contract_vec(x, y) bit for bit.
@@ -364,10 +301,10 @@ class LiftedOperator:
     def contract_mat(self, x, y) -> np.ndarray:
         """Hessian-direction contraction: the symmetric matrix ``form(x, y, ., .)``."""
         n = self.n
-        x = _as_vector(x, n, "x")
-        y = _as_vector(y, n, "y")
+        # The tensor's contract_mat checks x and y and refuses an oversized n
+        # before any n x n array.
+        x, y = (np.asarray(v, dtype=np.float64) for v in (x, y))
         tn = self.tensor
-        # The tensor's contract_mat refuses an oversized n before any n x n array.
         mx = tn.contract_mat(x)
         my = mx if y is x else tn.contract_mat(y)
         c = tn.contract_vec(x, y)

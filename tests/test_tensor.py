@@ -103,11 +103,6 @@ class TestConstruction:
             t.val[0] = 2.0
         with pytest.raises(ValueError):
             t.idx[0, 0] = 1
-        t.contract_vec(basis(6, 0), basis(6, 1))
-        for arr in t._incidence:
-            assert arr.dtype == np.int32
-            with pytest.raises(ValueError):
-                arr[0] = 1
 
 
 class TestScore:
@@ -228,7 +223,7 @@ def random_tensors(draw):
     # random_tensor draws three distinct indices, so n1 * n2 >= 3.
     n2 = draw(st.integers(max(n1, -(-3 // n1)), 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return oracles.random_tensor(rng, MatchingShape(n1, n2), draw(st.integers(1, 60)))
+    return oracles.random_tensor(rng, MatchingShape(n1, n2), draw(st.integers(0, 60)))
 
 
 @st.composite
@@ -270,7 +265,7 @@ def test_contract_vec_bytes_equal_the_full_pass(case):
     t, x, y = case
     expected = oracles.contract_vec_full(t, x, y).tobytes()
     assert t.contract_vec(x, y).tobytes() == expected
-    # A second call reads the cached index.
+    # The tensor keeps no state between calls.
     assert t.contract_vec(x, y).tobytes() == expected
 
 
@@ -324,19 +319,10 @@ class TestSupportAwareContraction:
         y = basis(8, 0)
         assert t.contract_vec(x, y).tobytes() == oracles.contract_vec_full(t, x, y).tobytes()
 
-    def test_index_is_built_by_the_first_sparse_call_only(self):
-        t = self.matching_tensor()
-        ones = np.ones(t.shape.n)
-        t.contract_vec(ones, ones)
-        assert t._incidence is None
-        u = oracles.random_matching(np.random.default_rng(3), t.shape).indicator()
-        t.contract_vec(u, u)
-        assert t._incidence is not None
-
     def test_results_do_not_depend_on_call_order(self):
         rng = np.random.default_rng(4)
         u = oracles.random_matching(rng, MatchingShape(4, 7)).indicator()
-        # A support of 23 of 28 indices builds the index, then takes the full pass.
+        # Supports of 4 and of 23 or 24 of the 28 indices: both restricted.
         dense = rng.standard_normal(28)
         dense[:5] = 0.0
         sparse_first, dense_first = self.matching_tensor(), self.matching_tensor()
@@ -550,6 +536,24 @@ class TestLiftedOperator:
         op = LiftedOperator(SparseSymmetricTensor3(MatchingShape(2, 3000)), 1.0)
         with pytest.raises(ThresholdExceeded):
             op.contract_mat(np.zeros(6000), np.zeros(6000))
+
+    @pytest.mark.parametrize("orbits", [0, 12])
+    @pytest.mark.parametrize("bad", [np.ones(5), np.array([1.0, np.nan, 0, 0, 0, 0])])
+    @pytest.mark.parametrize(
+        "method, arity, slot",
+        [("score", 1, 0)]
+        + [("contract_vec", 3, s) for s in range(3)]
+        + [("contract_mat", 2, s) for s in range(2)],
+    )
+    def test_rejects_a_bad_operand(self, method, arity, slot, bad, orbits):
+        shape = MatchingShape(2, 3)
+        op = LiftedOperator(oracles.random_tensor(np.random.default_rng(16), shape, orbits), 1.0)
+        # The good operands are one array, so every reuse by identity applies.
+        u = oracles.random_matching(np.random.default_rng(17), shape).indicator()
+        args = [u] * arity
+        args[slot] = bad
+        with pytest.raises(ValueError):
+            getattr(op, method)(*args)
 
     def test_score_trivial_cases(self):
         t = SparseSymmetricTensor3(MatchingShape(2, 3))
