@@ -40,7 +40,6 @@ from .tensor import (
     ThresholdExceeded,
     alpha_bound,
     f4_norm_exact,
-    g4_form,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +70,6 @@ __all__ = [
     "build_tensor",
     "default_start",
     "f4_norm_exact",
-    "g4_form",
     "gen_instance",
     "hopm_baseline",
     "ipfp",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
-from .qap import psi_with_guard
+from .qap import SUBROUTINES, psi_with_guard
 from .tensor import LiftedOperator, SparseSymmetricTensor3, alpha_bound
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
 
 ALPHA_SCHEDULES = ("zero_then_bound", "bound_always", "zero_only")
 VARIANTS = ("bcagm", "bcagm_psi")
-SUBROUTINES = ("ipfp", "mpm")
 
 TERMINATED_STALLED = "stalled"
 TERMINATED_MAX_ITERS = "max_outer_iters"

@@ -9,6 +9,7 @@ files or stdout.  All indices in external documents are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,6 +39,7 @@ class CliError(Exception):
         self.code = code
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypermatch",
@@ -55,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     match.add_argument("--triples-per-point", type=int, dest="triples_per_point")
     match.add_argument("--knn", type=int)
     match.add_argument("--seed", type=int)
-    match.add_argument("--deterministic", action="store_true")
     match.set_defaults(func=_cmd_match)
 
     synth = sub.add_parser("synth", help="run a synthetic benchmark grid, emit CSV")
@@ -198,7 +199,7 @@ def _cmd_match(args) -> int:
 
     try:
         tensor = build_tensor(P, Q, sampling, params)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # an option can ask for an unallocatable build
         raise CliError(f"invalid problem: {exc}", EXIT_INVALID) from exc
     if tensor.nnz == 0:
         print(
@@ -270,7 +271,7 @@ def _cmd_synth(args) -> int:
         raise CliError(str(exc), EXIT_USAGE) from exc
     try:
         records = run_grid(spec)
-    except ValueError as exc:  # build_tensor's verdict on a generated instance
+    except (ValueError, MemoryError) as exc:  # build_tensor's verdict on a generated instance
         raise CliError(f"invalid problem: {exc}", EXIT_INVALID) from exc
     _write_output(args.output, records_to_csv(records))
     return EXIT_OK

@@ -81,4 +81,4 @@ def solve_lap_max(profit) -> AssignmentVector:
         raise ValueError("profit matrix has non-finite entries")
     rows, cols = linear_sum_assignment(p, maximize=True)
     # rows come back sorted and cover every row for n1 <= n2
-    return AssignmentVector(MatchingShape(n1, n2), tuple(int(c) for c in cols))
+    return AssignmentVector(MatchingShape(n1, n2), cols)

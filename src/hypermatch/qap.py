@@ -19,6 +19,9 @@ from .tensor import MatchingShape
 
 __all__ = ["QapResult", "MpmResult", "qap_objective", "ipfp", "mpm", "psi_with_guard"]
 
+# The subroutines psi_with_guard runs.
+SUBROUTINES = ("ipfp", "mpm")
+
 # Iteration caps of ipfp and mpm, and the step below which mpm has converged.
 IPFP_MAX_ITER = 50
 MPM_MAX_ITER = 300
@@ -165,7 +168,7 @@ def psi_with_guard(A, x0: AssignmentVector, method: str = "ipfp") -> QapResult:
     otherwise the incumbent comes back unchanged.  This makes either
     subroutine a valid ascent step.
     """
-    if method not in ("ipfp", "mpm"):
+    if method not in SUBROUTINES:
         raise ValueError(f"unknown subroutine {method!r}, expected 'ipfp' or 'mpm'")
     if method == "ipfp":
         return ipfp(A, x0)

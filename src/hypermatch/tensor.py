@@ -22,7 +22,6 @@ __all__ = [
     "MatchingShape",
     "SparseSymmetricTensor3",
     "LiftedOperator",
-    "g4_form",
     "alpha_bound",
     "f4_norm_exact",
 ]
@@ -59,16 +58,6 @@ class MatchingShape:
     @property
     def n(self) -> int:
         return self.n1 * self.n2
-
-    def linear_index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n1 and 0 <= j < self.n2):
-            raise IndexError(f"pair ({i}, {j}) outside {self.n1}x{self.n2} grid")
-        return i * self.n2 + j
-
-    def pair(self, lin: int) -> tuple[int, int]:
-        if not 0 <= lin < self.n:
-            raise IndexError(f"linear index {lin} outside [0, {self.n})")
-        return divmod(lin, self.n2)
 
 
 def _as_vector(x, n: int, name: str = "vector") -> np.ndarray:
@@ -316,24 +305,6 @@ class LiftedOperator:
                 float(x @ y) * np.eye(n) + np.outer(x, y) + np.outer(y, x)
             )
         return out
-
-
-def g4_form(x, y, z, t) -> float:
-    """Symmetric multilinear extension of the fourth power of the 2-norm.
-
-    ``(<x,y><z,t> + <x,z><y,t> + <x,t><y,z>) / 3``; on the diagonal it
-    equals ``||x||_2^4``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if not (x.shape == y.shape == z.shape == t.shape) or x.ndim != 1:
-        raise ValueError("g4_form needs four 1-D vectors of equal length")
-    return float(
-        (float(x @ y) * float(z @ t) + float(x @ z) * float(y @ t) + float(x @ t) * float(y @ z))
-        / 3.0
-    )
 
 
 def alpha_bound(tensor: SparseSymmetricTensor3) -> float:

@@ -302,7 +302,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / f"result_{tag}.json"
-        code = cli_main(["match", str(problem), "--deterministic", "--output", str(out)])
+        code = cli_main(["match", str(problem), "--output", str(out)])
         if code != 0:
             failures.append(f"match exit {code}")
         outs.append(out.read_bytes())

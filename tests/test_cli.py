@@ -92,6 +92,20 @@ class TestMatch:
         assert err.startswith("hypermatch: invalid problem:")
         assert err.count("\n") == 1
 
+    # 10**15 triples per point on 4 points asks for 85.3 PiB, more than any
+    # 64-bit address space holds, so the allocation fails at once.
+    @pytest.mark.parametrize(
+        "options, flags",
+        [({}, ["--triples-per-point", str(10**15)]), ({"triples_per_point": 10**15}, [])],
+    )
+    def test_unallocatable_build_exits_2_with_one_line(self, tmp_path, capsys, options, flags):
+        problem = write_problem(tmp_path / "p.json", options=options)
+        assert main(["match", problem, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hypermatch: invalid problem: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["match", str(tmp_path / "absent.json")]) == 1
 
@@ -174,8 +188,8 @@ class TestMatch:
         plain = write_problem(tmp_path / "plain.json")
         tuned = write_problem(tmp_path / "tuned.json", options={"sigma_s": -1})
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["match", plain, "--deterministic", "--output", str(out1)]) == 0
-        assert main(["match", tuned, "--deterministic", "--output", str(out2)]) == 0
+        assert main(["match", plain, "--output", str(out1)]) == 0
+        assert main(["match", tuned, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_empty_tensor_warns_but_succeeds(self, tmp_path, capsys):
@@ -194,8 +208,8 @@ class TestMatch:
     def test_deterministic_result_bytes(self, tmp_path):
         problem = write_problem(tmp_path / "p.json")
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["match", problem, "--deterministic", "--output", str(out1)]) == 0
-        assert main(["match", problem, "--deterministic", "--output", str(out2)]) == 0
+        assert main(["match", problem, "--output", str(out1)]) == 0
+        assert main(["match", problem, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -255,12 +269,46 @@ class TestSynth:
         assert captured.err == "hypermatch: invalid problem: Q has non-finite coordinates\n"
         assert captured.out == ""
 
+    def test_unallocatable_build_exits_2_with_one_line(self, capsys):
+        assert main(["synth", "--n-in", "4", "--triples-per-point", str(10**15)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hypermatch: invalid problem: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.csv"
         assert main(["synth", "--n-in", "4", "--methods", "hopm", "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("hypermatch: cannot write output file:")
         assert err.count("\n") == 1
+
+
+class TestSharedParser:
+    def test_calls_leave_no_state_behind(self, tmp_path, capsys):
+        problem = write_problem(tmp_path / "p.json")
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(["match", problem, "--output", str(out1)]) == 0
+        assert main([
+            "synth", "--n-in", "4", "--methods", "hopm", "--seed", "3", "--knn", "20",
+            "--triples-per-point", "5", "--alpha-mode", "bound", "--deterministic",
+            "--output", str(tmp_path / "g.csv"),
+        ]) == 0
+        assert main(["match", problem, "--method", "hopm", "--knn", "x"]) == 1
+        assert main(["match", "--help"]) == 0
+        assert main(["match", problem, "--output", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_match_has_no_deterministic_flag(self, tmp_path, capsys):
+        assert main(["match", "--help"]) == 0
+        assert "--deterministic" not in capsys.readouterr().out
+        assert main(["synth", "--help"]) == 0
+        assert "--deterministic" in capsys.readouterr().out
+        assert main(["match", write_problem(tmp_path / "p.json"), "--deterministic"]) == 1
+        # argparse's usage line, then the one error line
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: hypermatch")
+        assert error == "hypermatch: error: unrecognized arguments: --deterministic"
 
 
 class TestMethodRegistry:
