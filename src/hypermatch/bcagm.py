@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
-from .qap import SUBROUTINES, psi_with_guard
+from .qap import SUBROUTINES, _power_iterate, psi_with_guard
 from .tensor import LiftedOperator, SparseSymmetricTensor3, alpha_bound
 
 __all__ = [
@@ -97,14 +97,14 @@ class SolverTrace:
     alpha_phases: list[dict] = field(default_factory=list)
     terminated: str = ""
 
-    def verify(self, tol: float = EQUALITY_TOL_REL) -> None:
+    def verify(self) -> None:
         """Audit the ascent guarantees; raises :class:`TraceViolation`."""
         starts = [p["stage_start"] for p in self.alpha_phases]
         bounds = starts + [len(self.stage_scores)]
         for (lo, hi), phase in zip(itertools.pairwise(bounds), self.alpha_phases):
             seg = self.stage_scores[lo:hi]
             for a, b in zip(seg, seg[1:]):
-                if b < a - tol * (1.0 + abs(a)):
+                if b < a - EQUALITY_TOL_REL * (1.0 + abs(a)):
                     raise TraceViolation(
                         f"stage scores decreased within alpha={phase['alpha']}: {a} -> {b}"
                     )
@@ -154,18 +154,12 @@ def _alpha_phases(tensor: SparseSymmetricTensor3, cfg: SolverConfig) -> list[flo
     }[cfg.alpha_schedule]
 
 
-def _ascent(tensor, cfg, start, nblocks, update):
+def _ascent(tensor, cfg, nblocks, update):
     """Shared driver: block sweeps, stall detection, merges, alpha phases."""
-    shape = tensor.shape
     tol = EQUALITY_TOL_REL
-    if start is None:
-        start = default_start(tensor)
-    if start.shape != shape:
-        raise ValueError(f"start has shape {start.shape}, tensor has {shape}")
-
     trace = SolverTrace()
-    u_best = start
-    u_vec = start.indicator()
+    u_best = default_start(tensor)
+    u_vec = u_best.indicator()
     trace.u_scores3.append(tensor.score(u_vec))
 
     outer = 0
@@ -223,7 +217,7 @@ def _ascent(tensor, cfg, start, nblocks, update):
             break
 
     trace.terminated = TERMINATED_MAX_ITERS if hit_cap else TERMINATED_STALLED
-    trace.verify(tol)
+    trace.verify()
     # Both scores were computed when the incumbent was adopted, under the last phase.
     return Solution(
         assignment=u_best,
@@ -243,11 +237,7 @@ def _config_for(variant: str, cfg: SolverConfig | None) -> SolverConfig:
     return cfg
 
 
-def bcagm_solve(
-    tensor: SparseSymmetricTensor3,
-    cfg: SolverConfig | None = None,
-    start: AssignmentVector | None = None,
-) -> Solution:
+def bcagm_solve(tensor: SparseSymmetricTensor3, cfg: SolverConfig | None = None) -> Solution:
     """Four-block coordinate ascent; every block update is a globally
     optimal linear assignment on the gradient-direction contraction."""
     cfg = _config_for("bcagm", cfg)
@@ -260,14 +250,10 @@ def bcagm_solve(
         v = a.indicator()
         return a, v, float(np.dot(profit, v))
 
-    return _ascent(tensor, cfg, start, 4, update)
+    return _ascent(tensor, cfg, 4, update)
 
 
-def bcagm_psi_solve(
-    tensor: SparseSymmetricTensor3,
-    cfg: SolverConfig | None = None,
-    start: AssignmentVector | None = None,
-) -> Solution:
+def bcagm_psi_solve(tensor: SparseSymmetricTensor3, cfg: SolverConfig | None = None) -> Solution:
     """Two-block coordinate ascent; every block update is a guarded
     quadratic assignment step on the Hessian-direction contraction."""
     cfg = _config_for("bcagm_psi", cfg)
@@ -279,7 +265,7 @@ def bcagm_psi_solve(
         a = res.assignment
         return a, a.indicator(), res.objective
 
-    return _ascent(tensor, cfg, start, 2, update)
+    return _ascent(tensor, cfg, 2, update)
 
 
 def hopm_baseline(tensor: SparseSymmetricTensor3) -> Solution:
@@ -291,26 +277,13 @@ def hopm_baseline(tensor: SparseSymmetricTensor3) -> Solution:
     """
     shape = tensor.shape
     n = shape.n
-    v = np.ones(n) / np.sqrt(n)
-    reason = "max_iters"
-    degenerate = False
-    iterations = 0
-    for _ in range(HOPM_MAX_ITER):
-        iterations += 1
-        w = tensor.contract_vec(v, v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            degenerate = True
-            reason = "degenerate"
-            break
-        w = w / norm_w
-        delta = float(np.linalg.norm(w - v))
-        v = w
-        if delta <= HOPM_TOL:
-            reason = "converged"
-            break
-    if degenerate:
-        v = np.ones(n)
+    res = _power_iterate(
+        lambda v: tensor.contract_vec(v, v), np.ones(n) / np.sqrt(n), HOPM_MAX_ITER, HOPM_TOL
+    )
+    if res.degenerate:
+        reason, v = "degenerate", np.ones(n)
+    else:
+        reason, v = ("converged" if res.converged else "max_iters"), res.vector
     assignment = solve_lap_max(reshape_to_profit(v, shape))
     score3 = tensor.score(assignment.indicator())
     trace = SolverTrace(u_scores3=[score3], terminated=reason)
@@ -319,20 +292,16 @@ def hopm_baseline(tensor: SparseSymmetricTensor3) -> Solution:
         score3=score3,
         score4_alpha=LiftedOperator(tensor, 0.0).score(assignment.indicator()),
         trace=trace,
-        outer_iterations=iterations,
+        outer_iterations=res.iterations,
     )
 
 
-def solve(
-    tensor: SparseSymmetricTensor3,
-    cfg: SolverConfig | None = None,
-    start: AssignmentVector | None = None,
-) -> Solution:
+def solve(tensor: SparseSymmetricTensor3, cfg: SolverConfig | None = None) -> Solution:
     """Dispatch on ``cfg.variant``."""
     cfg = cfg if cfg is not None else SolverConfig()
     if cfg.variant == "bcagm":
-        return bcagm_solve(tensor, cfg, start)
-    return bcagm_psi_solve(tensor, cfg, start)
+        return bcagm_solve(tensor, cfg)
+    return bcagm_psi_solve(tensor, cfg)
 
 
 # The tensor methods, by name: each maps to the SolverConfig fields that

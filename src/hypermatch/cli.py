@@ -19,6 +19,7 @@ from .affinity import AffinityParams, SamplingConfig, build_tensor
 from .bcagm import TENSOR_METHODS, TraceViolation, run_method
 from .harness import METHODS, ExperimentSpec, records_to_csv, run_grid
 from .selfcheck import run_selfcheck
+from .tensor import ThresholdExceeded
 
 __all__ = ["main"]
 
@@ -206,7 +207,10 @@ def _cmd_match(args) -> int:
             "hypermatch: warning: the affinity tensor is empty; the assignment is a guess",
             file=sys.stderr,
         )
-    solution = run_method(method, tensor, **solver)
+    try:
+        solution = run_method(method, tensor, **solver)
+    except ThresholdExceeded as exc:  # the two-block methods' dense Hessian
+        raise CliError(f"invalid problem: {exc}", EXIT_INVALID) from exc
 
     result = {
         "format_version": FORMAT_VERSION,
@@ -237,7 +241,10 @@ def _parse_n_out(raw: str) -> tuple[int, ...]:
             raise CliError(f"bad --n-out range {raw!r}: {exc}", EXIT_USAGE) from exc
         if step <= 0 or stop < start or start < 0:
             raise CliError(f"bad --n-out range {raw!r}", EXIT_USAGE)
-        return tuple(range(start, stop + 1, step))
+        try:
+            return tuple(range(start, stop + 1, step))
+        except MemoryError as exc:
+            raise CliError(f"bad --n-out range {raw!r}: too many values", EXIT_USAGE) from exc
     try:
         value = int(raw)
     except ValueError as exc:

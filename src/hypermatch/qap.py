@@ -76,18 +76,19 @@ def ipfp(A, x0: AssignmentVector) -> QapResult:
     shape = x0.shape
     A = _check_qap(A, shape.n)
     x = x0.indicator()
-    g = A @ x  # once per iterate: the start objective, each LAP profit, the final one
+    g = A @ x  # once per iterate: the start objective and each LAP profit
     best = x0
     best_obj = float(x @ g)
     iterations = 0
-    for _ in range(IPFP_MAX_ITER):
-        iterations += 1
+    while True:
         b = solve_lap_max(reshape_to_profit(g, shape))
-        bx = b.indicator()
-        b_obj = float(bx @ (A @ bx))
+        b_obj = qap_objective(A, b)
         if b_obj > best_obj:
             best, best_obj = b, b_obj
-        d = bx - x
+        if iterations == IPFP_MAX_ITER:
+            break  # b discretized the final iterate
+        iterations += 1
+        d = b.indicator() - x
         ascent = float(g @ d)  # equals <x, A d> by symmetry
         if ascent <= 0.0:
             break  # fixed point of the projection
@@ -99,12 +100,33 @@ def ipfp(A, x0: AssignmentVector) -> QapResult:
             step = min(1.0, -ascent / curvature)
         x = x + step * d
         g = A @ x
-    final = solve_lap_max(reshape_to_profit(g, shape))
-    fx = final.indicator()
-    final_obj = float(fx @ (A @ fx))
-    if final_obj > best_obj:
-        best, best_obj = final, final_obj
     return QapResult(best, best_obj, iterations)
+
+
+def _power_iterate(step, x, max_iter: int, tol: float) -> MpmResult:
+    """Iterate ``x <- step(x) / ||step(x)||`` from the unit vector ``x``.
+
+    Stops when successive iterates differ by at most ``tol`` or after
+    ``max_iter`` rounds.  If a step annihilates the iterate, the previous
+    iterate is returned with ``degenerate=True``.
+    """
+    converged = False
+    degenerate = False
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        new = step(x)
+        norm_new = float(np.linalg.norm(new))
+        if norm_new == 0.0:
+            degenerate = True
+            break
+        new = new / norm_new
+        delta = float(np.linalg.norm(new - x))
+        x = new
+        if delta <= tol:
+            converged = True
+            break
+    return MpmResult(x, iterations, converged, degenerate)
 
 
 def mpm(A, shape: MatchingShape, x0=None) -> MpmResult:
@@ -130,32 +152,19 @@ def mpm(A, shape: MatchingShape, x0=None) -> MpmResult:
     norm0 = float(np.linalg.norm(x0))
     if norm0 == 0.0:
         raise ValueError("start vector must be nonzero")
-    x = x0 / norm0
     n1, n2 = shape.n1, shape.n2
     blocks = A.reshape(n1, n2, n1, n2)
     diag = A.diagonal().reshape(n1, n2)
     rows = np.arange(n1)
-    converged = False
-    degenerate = False
-    iterations = 0
-    for _ in range(MPM_MAX_ITER):
-        iterations += 1
+
+    def pool(x):
         xm = x.reshape(n1, n2)
         pooled = (blocks * xm[None, None, :, :]).max(axis=3)  # (n1, n2, n1)
         total = pooled.sum(axis=2)
         own = pooled[rows, :, rows]  # pooled term of the own row, replaced below
-        new = (total - own + xm * diag).reshape(n)
-        norm_new = float(np.linalg.norm(new))
-        if norm_new == 0.0:
-            degenerate = True
-            break
-        new = new / norm_new
-        delta = float(np.linalg.norm(new - x))
-        x = new
-        if delta <= MPM_TOL:
-            converged = True
-            break
-    return MpmResult(x, iterations, converged, degenerate)
+        return (total - own + xm * diag).reshape(n)
+
+    return _power_iterate(pool, x0 / norm0, MPM_MAX_ITER, MPM_TOL)
 
 
 def psi_with_guard(A, x0: AssignmentVector, method: str = "ipfp") -> QapResult:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hypermatch import ExperimentSpec, harness, prepare_case, run_grid
+from hypermatch import tensor as tensor_module
 from hypermatch.bcagm import TENSOR_METHODS, run_method
 from hypermatch.cli import main
 
@@ -103,6 +104,17 @@ class TestMatch:
         assert main(["match", problem, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("hypermatch: invalid problem: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("method", ["bcagm_ipfp", "bcagm_mp"])
+    def test_dense_limit_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, method):
+        # a 3-into-4 problem has n = 12; the two-block methods materialize n x n
+        monkeypatch.setattr(tensor_module, "DENSE_MATRIX_LIMIT", 11)
+        problem = write_problem(tmp_path / "p.json", points_p=SQUARE[:3])
+        assert main(["match", problem, "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hypermatch: invalid problem: refusing to materialize")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
@@ -273,6 +285,14 @@ class TestSynth:
         assert main(["synth", "--n-in", "4", "--triples-per-point", str(10**15)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("hypermatch: invalid problem: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_huge_n_out_range_exits_1_with_one_line(self, capsys):
+        # 10**15 + 1 outlier counts: the tuple's allocation fails at once
+        assert main(["synth", "--n-in", "4", "--n-out", "0:1000000000000000:1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hypermatch: bad --n-out range")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 

@@ -20,9 +20,24 @@ from hypermatch import qap as qap_module
 def random_qap(rng, shape, density=1.0):
     n = shape.n
     A = rng.uniform(0.0, 1.0, size=(n, n))
+    if density < 1.0:
+        A *= rng.random((n, n)) < density
     A = (A + A.T) / 2.0
     np.fill_diagonal(A, 0.0)
     return A
+
+
+def spy_on_lap(monkeypatch):
+    """Record ``(profit, assignment)`` of every LAP the QAP solvers make."""
+    calls = []
+
+    def spy(profit):
+        assignment = solve_lap_max(profit)
+        calls.append((np.array(profit), assignment))
+        return assignment
+
+    monkeypatch.setattr(qap_module, "solve_lap_max", spy)
+    return calls
 
 
 SHAPE22 = MatchingShape(2, 2)
@@ -82,6 +97,48 @@ class TestIpfp:
             assert res.objective >= qap_objective(A, x0)
             recomputed = qap_objective(A, res.assignment)
             assert res.objective == pytest.approx(recomputed, rel=1e-10)
+
+    def test_fixed_point_exit_solves_each_lap_once(self, monkeypatch):
+        # the LAP that finds the fixed point also discretizes the final
+        # iterate, so no closing LAP repeats it; sparse affinities reach a
+        # fixed point within the cap more often than dense ones
+        laps = spy_on_lap(monkeypatch)
+        rng = np.random.default_rng(36)
+        shape = MatchingShape(3, 5)
+        fixed_points = 0
+        for _ in range(20):
+            A = random_qap(rng, shape, density=0.1)
+            laps.clear()
+            res = ipfp(A, oracles.random_matching(rng, shape))
+            if res.inner_iterations == qap_module.IPFP_MAX_ITER:
+                continue  # may have stopped at the cap instead
+            fixed_points += 1
+            assert len(laps) == res.inner_iterations
+        assert fixed_points > 0
+
+    def test_iteration_cap_exit_discretizes_the_final_iterate(self, monkeypatch):
+        monkeypatch.setattr(qap_module, "IPFP_MAX_ITER", 1)
+        laps = spy_on_lap(monkeypatch)
+        rng = np.random.default_rng(37)
+        shape = MatchingShape(3, 5)
+        checked = 0
+        for _ in range(20):
+            A = random_qap(rng, shape)
+            x0 = oracles.random_matching(rng, shape)
+            laps.clear()
+            res = ipfp(A, x0)
+            assert res.inner_iterations == 1
+            (g0, projected), (g1, final) = laps  # IPFP_MAX_ITER + 1 LAPs
+            np.testing.assert_array_equal(g0, reshape_to_profit(A @ x0.indicator(), shape))
+            if float(g0.ravel() @ (projected.indicator() - x0.indicator())) <= 0.0:
+                continue  # the start was already a fixed point
+            checked += 1
+            assert not np.array_equal(g1, g0)  # the closing LAP sees the moved iterate
+            objectives = [qap_objective(A, c) for c in (x0, projected, final)]
+            best = int(np.argmax(objectives))  # the first wins ties
+            assert res.assignment.cols == (x0, projected, final)[best].cols
+            assert res.objective == objectives[best]
+        assert checked > 0
 
     def test_rejects_invalid_matrix(self):
         with pytest.raises(ValueError, match="symmetric"):
