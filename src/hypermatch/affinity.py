@@ -177,11 +177,15 @@ _VERTEX_ORDERS = np.array(list(itertools.permutations(range(3))), dtype=np.intp)
 def _knn(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
     """Pool rows of the ``k`` features nearest to each template feature.
 
-    Exact kNN by kd-tree.  Each row is sorted by pool index, so gamma's mean
-    is summed in a canonical order that any exact kNN reproduces; a tie at
-    the k-th distance may fall to either pool row.
+    Exact kNN by kd-tree.  The tree splits at sliding midpoints, into leaves
+    of up to 64 rows, and does not shrink its nodes to their data: cheaper
+    to build than scipy's default median-split tree, and just as exact.
+    Each row is sorted by pool index, so gamma's mean is summed in a
+    canonical order that any exact kNN reproduces; a tie at the k-th
+    distance may fall to either pool row.
     """
-    _, sel = cKDTree(pool_feat).query(p_feats, k)
+    tree = cKDTree(pool_feat, leafsize=64, balanced_tree=False, compact_nodes=False)
+    _, sel = tree.query(p_feats, k)
     return np.sort(np.asarray(sel, dtype=np.intp).reshape(len(p_feats), k), axis=1)
 
 
@@ -222,13 +226,13 @@ def build_tensor(
     if not len(p_triples) or not len(q_sets):
         return SparseSymmetricTensor3(shape)
 
-    pool_idx = q_sets[:, _VERTEX_ORDERS].reshape(-1, 3)
+    # Pool row 6 * s + o is scene set s in vertex order o.
     pool_feat = q_feats[:, _VERTEX_ORDERS].reshape(-1, 3)
-    k = min(sc.knn, len(pool_idx))
+    k = min(sc.knn, len(pool_feat))
 
     sel = _knn(pool_feat, p_feats, k)
     p_rows = np.repeat(p_triples, k, axis=0)
-    q_rows = pool_idx[sel].reshape(-1, 3)
+    q_rows = np.take_along_axis(q_sets[sel // 6], _VERTEX_ORDERS[sel % 6], axis=2).reshape(-1, 3)
     # Recomputed here rather than taken from the kd-tree, so every entry is
     # the same expression on the same operands whatever finds the neighbours.
     dist2 = ((pool_feat[sel] - p_feats[:, None]) ** 2).sum(axis=2).reshape(-1)

@@ -70,15 +70,27 @@ def _as_vector(x, n: int, name: str = "vector") -> np.ndarray:
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an (m, 3) index array in lexicographic order, and
-    for each input row the position of its distinct row."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
+    """The distinct rows of a nonnegative (N, 3) index array in lexicographic
+    order, and for each input row the position of its distinct row.
+
+    Rows are ranked by one stable sort of the key ``(r0*m + r1)*m + r2`` with
+    ``m = rows.max() + 1``, which orders them as ``np.lexsort`` does; when
+    ``m**3`` would overflow int64, by ``np.lexsort`` itself.
+    """
+    m = int(rows.max(initial=0)) + 1
     first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    if m <= 2**21:  # the largest key is m**3 - 1 <= 2**63 - 1
+        key = (rows[:, 0] * m + rows[:, 1]) * m + rows[:, 2]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first[1:] = key[1:] != key[:-1]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return ranked[first], inverse
+    return rows[order[first]], inverse
 
 
 class SparseSymmetricTensor3:

@@ -17,6 +17,7 @@ from hypermatch import (
     alpha_bound,
     f4_norm_exact,
 )
+from hypermatch.tensor import unique_rows
 
 
 def basis(n, i):
@@ -44,7 +45,12 @@ class TestConstruction:
         assert t.idx.tolist() == [[0, 1, 3], [2, 4, 5]]
         np.testing.assert_allclose(t.val, [3.0, 0.5])
 
-    @pytest.mark.parametrize("seed, n1, n2, m", [(0, 2, 3, 40), (1, 4, 6, 500), (2, 10, 40, 5000)])
+    # n = 2 250 000 exceeds 2**21, so the last shape's rows are ranked by
+    # np.lexsort rather than by the int64 key.
+    @pytest.mark.parametrize(
+        "seed, n1, n2, m",
+        [(0, 2, 3, 40), (1, 4, 6, 500), (2, 10, 40, 5000), (3, 1500, 1500, 5000)],
+    )
     def test_matches_the_unique_oracle(self, seed, n1, n2, m):
         # few distinct triples, so most rows are duplicates in some vertex order
         rng = np.random.default_rng(seed)
@@ -54,9 +60,23 @@ class TestConstruction:
         triples = np.take_along_axis(triples, rng.permuted(np.tile([0, 1, 2], (m, 1)), axis=1), 1)
         values = rng.random(m)
         t = SparseSymmetricTensor3(shape, triples, values)
+        assert (triples.max() >= 2**21) == (shape.n > 2**21)
         idx, val = oracles.canonical_orbits(triples, values)
         assert t.idx.tobytes() == idx.tobytes()
         assert t.val.tobytes() == val.tobytes()
+
+    @pytest.mark.parametrize("m", [2**21, 2**21 + 1])
+    def test_unique_rows_at_the_key_bound(self, m):
+        # Entries near m - 1 put the int64 key (r0*m + r1)*m + r2 at its
+        # largest, m**3 - 1 = 2**63 - 1 for m = 2**21; one more and the rows
+        # go to np.lexsort.
+        rng = np.random.default_rng(m)
+        rows = rng.choice([0, 1, m // 2, m - 2, m - 1], size=(600, 3))
+        rows[0] = m - 1
+        got, inverse = unique_rows(rows)
+        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert got.tobytes() == want.tobytes()
+        assert inverse.tobytes() == want_inverse.reshape(-1).astype(np.intp).tobytes()
 
     def test_rejects_repeated_indices(self):
         shape = MatchingShape(2, 3)
