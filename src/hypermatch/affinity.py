@@ -227,7 +227,8 @@ def build_tensor(
         return SparseSymmetricTensor3(shape)
 
     # Pool row 6 * s + o is scene set s in vertex order o.
-    pool_feat = q_feats[:, _VERTEX_ORDERS].reshape(-1, 3)
+    # np.take returns a contiguous (sets, 6, 3) array, so reshape copies nothing.
+    pool_feat = np.take(q_feats, _VERTEX_ORDERS, axis=1).reshape(-1, 3)
     k = min(sc.knn, len(pool_feat))
 
     sel = _knn(pool_feat, p_feats, k)

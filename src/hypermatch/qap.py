@@ -53,7 +53,11 @@ def _check_qap(A, n: int) -> np.ndarray:
     scale = float(A.max(initial=0.0))
     if A.size and float(A.min()) < 0.0:
         raise ValueError("affinity matrix must be nonnegative")
-    if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12 * (1.0 + scale)):
+    # The solvers' own Hessians are exactly symmetric, which the cheap exact
+    # comparison settles; allclose accepts every such matrix too.
+    if not np.array_equal(A, A.T) and not np.allclose(
+        A, A.T, rtol=1e-12, atol=1e-12 * (1.0 + scale)
+    ):
         raise ValueError("affinity matrix must be symmetric")
     return A
 
@@ -153,13 +157,15 @@ def mpm(A, shape: MatchingShape, x0=None) -> MpmResult:
     if norm0 == 0.0:
         raise ValueError("start vector must be nonzero")
     n1, n2 = shape.n1, shape.n2
-    blocks = A.reshape(n1, n2, n1, n2)
+    # blocks[b, i, a, j] = A[(i,a),(j,b)]: the pooled index b is the outermost
+    # axis, so the max runs over contiguous (n1, n2, n1) slabs.
+    blocks = np.ascontiguousarray(A.reshape(n1, n2, n1, n2).transpose(3, 0, 1, 2))
     diag = A.diagonal().reshape(n1, n2)
     rows = np.arange(n1)
 
     def pool(x):
         xm = x.reshape(n1, n2)
-        pooled = (blocks * xm[None, None, :, :]).max(axis=3)  # (n1, n2, n1)
+        pooled = (blocks * xm.T[:, None, None, :]).max(axis=0)  # (n1, n2, n1)
         total = pooled.sum(axis=2)
         own = pooled[rows, :, rows]  # pooled term of the own row, replaced below
         return (total - own + xm * diag).reshape(n)

@@ -73,7 +73,7 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a nonnegative (N, 3) index array in lexicographic
     order, and for each input row the position of its distinct row.
 
-    Rows are ranked by one stable sort of the key ``(r0*m + r1)*m + r2`` with
+    Rows are ranked by one sort of the key ``(r0*m + r1)*m + r2`` with
     ``m = rows.max() + 1``, which orders them as ``np.lexsort`` does; when
     ``m**3`` would overflow int64, by ``np.lexsort`` itself.
     """
@@ -81,7 +81,8 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.ones(len(rows), dtype=bool)
     if m <= 2**21:  # the largest key is m**3 - 1 <= 2**63 - 1
         key = (rows[:, 0] * m + rows[:, 1]) * m + rows[:, 2]
-        order = np.argsort(key, kind="stable")
+        # Equal keys are equal rows, so the sort need not be stable.
+        order = np.argsort(key)
         key = key[order]
         first[1:] = key[1:] != key[:-1]
     else:
@@ -204,19 +205,30 @@ class SparseSymmetricTensor3:
         return out
 
     def contract_mat(self, x) -> np.ndarray:
-        """Contract one mode: returns the symmetric matrix ``(k, l) -> sum_i T_ikl x_i``."""
+        """Contract one mode: returns the symmetric matrix ``(k, l) -> sum_i T_ikl x_i``.
+
+        An orbit with no index in ``supp(x)`` sends only exact zeros.  When
+        the support is not all of ``n``, as for a matching, only the other
+        orbits are visited, in stored order; each of the six weight streams
+        keeps its order, so ``bincount`` gives the same bytes as a full pass.
+        """
         n = self.shape.n
         if n > DENSE_MATRIX_LIMIT:
             raise ThresholdExceeded(
                 f"refusing to materialize a {n}x{n} matrix (limit {DENSE_MATRIX_LIMIT})"
             )
         x = _as_vector(x, n, "x")
-        if not self.val.size:
-            return np.zeros((n, n))
         i, j, k = self.idx[:, 0], self.idx[:, 1], self.idx[:, 2]
-        w_i = self.val * x[i]
-        w_j = self.val * x[j]
-        w_k = self.val * x[k]
+        val = self.val
+        inside = x != 0.0
+        if not inside.all():
+            keep = np.flatnonzero(inside[i] | inside[j] | inside[k])
+            i, j, k, val = i[keep], j[keep], k[keep], val[keep]
+        if not val.size:
+            return np.zeros((n, n))
+        w_i = val * x[i]
+        w_j = val * x[j]
+        w_k = val * x[k]
         # Mirrored positions receive identical weight streams, so the result
         # is exactly symmetric.
         pos = np.concatenate([j * n + k, k * n + j, i * n + k, k * n + i, i * n + j, j * n + i])

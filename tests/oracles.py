@@ -13,7 +13,8 @@ import itertools
 
 import numpy as np
 
-from hypermatch import LiftedOperator, MatchingShape, SparseSymmetricTensor3
+from hypermatch import LiftedOperator, MatchingShape, MpmResult, SparseSymmetricTensor3
+from hypermatch import qap
 from hypermatch.selfcheck import (  # noqa: F401 - re-exported to the tests
     all_assignments,
     indicator,
@@ -116,6 +117,62 @@ def lifted_contract_vec_full(op: LiftedOperator, x, y, z) -> np.ndarray:
     if op.alpha:
         out += (op.alpha / 3.0) * (float(x @ y) * z + float(x @ z) * y + float(y @ z) * x)
     return out
+
+
+def contract_mat_full(tensor: SparseSymmetricTensor3, x) -> np.ndarray:
+    """``tensor.contract_mat(x)`` by a pass over every stored orbit, the
+    package's kernel before it learned to skip orbits outside the support."""
+    n = tensor.shape.n
+    x = np.asarray(x, dtype=np.float64)
+    if not tensor.val.size:
+        return np.zeros((n, n))
+    i, j, k = tensor.idx[:, 0], tensor.idx[:, 1], tensor.idx[:, 2]
+    w_i = tensor.val * x[i]
+    w_j = tensor.val * x[j]
+    w_k = tensor.val * x[k]
+    pos = np.concatenate([j * n + k, k * n + j, i * n + k, k * n + i, i * n + j, j * n + i])
+    wts = np.concatenate([w_i, w_i, w_j, w_j, w_k, w_k])
+    flat = np.bincount(pos, weights=wts, minlength=n * n)
+    return flat.reshape(n, n)
+
+
+def mpm_last_axis(A, shape: MatchingShape, x0) -> MpmResult:
+    """``qap.mpm(A, shape, x0)`` with the max taken over the last axis of
+    the (n1, n2, n1, n2) product, the package's pooling before it moved the
+    pooled index outermost.  ``A`` and ``x0`` must be valid."""
+    n = shape.n
+    A = np.asarray(A, dtype=np.float64)
+    x0 = np.asarray(x0, dtype=np.float64)
+    n1, n2 = shape.n1, shape.n2
+    blocks = A.reshape(n1, n2, n1, n2)
+    diag = A.diagonal().reshape(n1, n2)
+    rows = np.arange(n1)
+
+    def pool(x):
+        xm = x.reshape(n1, n2)
+        pooled = (blocks * xm[None, None, :, :]).max(axis=3)  # (n1, n2, n1)
+        total = pooled.sum(axis=2)
+        own = pooled[rows, :, rows]
+        return (total - own + xm * diag).reshape(n)
+
+    x = x0 / float(np.linalg.norm(x0))
+    converged = False
+    degenerate = False
+    iterations = 0
+    for _ in range(qap.MPM_MAX_ITER):
+        iterations += 1
+        new = pool(x)
+        norm_new = float(np.linalg.norm(new))
+        if norm_new == 0.0:
+            degenerate = True
+            break
+        new = new / norm_new
+        delta = float(np.linalg.norm(new - x))
+        x = new
+        if delta <= qap.MPM_TOL:
+            converged = True
+            break
+    return MpmResult(x, iterations, converged, degenerate)
 
 
 def contract3_mat(t3: np.ndarray, x) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from hypermatch import (
     AssignmentVector,
+    LiftedOperator,
     MatchingShape,
     ipfp,
     mpm,
@@ -15,6 +18,7 @@ from hypermatch import (
     solve_lap_max,
 )
 from hypermatch import qap as qap_module
+from test_tensor import SETTINGS, random_tensors
 
 
 def random_qap(rng, shape, density=1.0):
@@ -195,6 +199,55 @@ class TestMpm:
             mpm(A, SHAPE22, np.ones(5))
 
 
+@st.composite
+def qap_cases(draw):
+    """``(A, shape, x0)``: a random QAP matrix, with ``n1 == n2`` and
+    ``n1 == 1`` among the shapes, or the lifted Hessian of a random tensor at
+    a matching; ``x0`` is all ones, a matching or a nonnegative vector."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n1 = draw(st.integers(1, 4))
+        shape = MatchingShape(n1, draw(st.integers(n1, 6)))
+        A = random_qap(rng, shape, draw(st.sampled_from([1.0, 0.5, 0.1])))
+    else:
+        t = draw(random_tensors())
+        shape = t.shape
+        u = oracles.random_matching(rng, shape).indicator()
+        A = LiftedOperator(t, draw(st.sampled_from([0.0, 1.0]))).contract_mat(u, u)
+    start = draw(st.sampled_from(["ones", "matching", "uniform"]))
+    if start == "ones":
+        x0 = np.ones(shape.n)
+    elif start == "matching":
+        x0 = oracles.random_matching(rng, shape).indicator()
+    else:
+        x0 = rng.uniform(0.0, 1.0, size=shape.n) + 1e-3
+    return A, shape, x0
+
+
+@SETTINGS
+@given(case=qap_cases())
+def test_mpm_bytes_equal_last_axis_pooling(case):
+    A, shape, x0 = case
+    res = mpm(A, shape, x0)
+    ref = oracles.mpm_last_axis(A, shape, x0)
+    assert res.vector.tobytes() == ref.vector.tobytes()
+    assert res[1:] == ref[1:]  # iterations, converged, degenerate
+
+
+def test_mpm_with_negative_zeros_equals_last_axis_pooling():
+    # A pooled zero may take either sign, so values are compared, not bytes.
+    rng = np.random.default_rng(37)
+    for shape in (MatchingShape(1, 4), MatchingShape(3, 3), MatchingShape(3, 5)):
+        for _ in range(5):
+            A = random_qap(rng, shape)
+            A[A < 0.4] = -0.0
+            x0 = oracles.random_matching(rng, shape).indicator()
+            res = mpm(A, shape, x0)
+            ref = oracles.mpm_last_axis(A, shape, x0)
+            assert np.array_equal(res.vector, ref.vector)
+            assert res[1:] == ref[1:]
+
+
 class TestPsiWithGuard:
     def test_ipfp_route(self):
         A = np.zeros((4, 4))
@@ -273,6 +326,26 @@ class TestPsiWithGuard:
             psi_with_guard(np.full((4, 4), np.nan), SWAP22, method)
         with pytest.raises(ValueError, match="4x4"):
             psi_with_guard(np.zeros((3, 3)), SWAP22, method)
+
+    def test_symmetry_tolerance(self):
+        shape = MatchingShape(3, 4)
+        A = random_qap(np.random.default_rng(38), shape)
+        x0 = oracles.random_matching(np.random.default_rng(39), shape)
+        near, far = A.copy(), A.copy()
+        near[0, 5] *= 1.0 + 1e-14
+        far[0, 5] *= 1.0 + 1e-9
+        assert near[0, 5] != near[5, 0]
+        ipfp(near, x0)
+        mpm(near, shape, x0.indicator())
+        for method in ("ipfp", "mpm"):
+            psi_with_guard(near, x0, method)
+        with pytest.raises(ValueError, match="symmetric"):
+            ipfp(far, x0)
+        with pytest.raises(ValueError, match="symmetric"):
+            mpm(far, shape, x0.indicator())
+        for method in ("ipfp", "mpm"):
+            with pytest.raises(ValueError, match="symmetric"):
+                psi_with_guard(far, x0, method)
 
     @pytest.mark.parametrize("method", ["ipfp", "mpm"])
     def test_validates_the_matrix_once(self, method, monkeypatch):

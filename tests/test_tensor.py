@@ -288,6 +288,16 @@ def test_lifted_contract_vec_bytes_equal_three_full_passes(t, data, alpha, patte
     assert op.contract_vec(*args).tobytes() == expected
 
 
+@SETTINGS
+@given(t=random_tensors(), data=st.data())
+def test_contract_mat_bytes_equal_the_full_pass(t, data):
+    x = data.draw(vectors(t.shape))
+    expected = oracles.contract_mat_full(t, x).tobytes()
+    assert t.contract_mat(x).tobytes() == expected
+    # The tensor keeps no state between calls.
+    assert t.contract_mat(x).tobytes() == expected
+
+
 class TestSupportAwareContraction:
     def matching_tensor(self, seed=0):
         shape = MatchingShape(4, 7)
@@ -311,6 +321,16 @@ class TestSupportAwareContraction:
         assert op.contract_vec(u, u, u).tobytes() == (
             oracles.lifted_contract_vec_full(op, u, u, u).tobytes()
         )
+
+    def test_contract_mat_on_empty_tensor_and_zero_vectors(self):
+        t = self.matching_tensor()
+        empty = SparseSymmetricTensor3(t.shape)
+        zero = np.zeros(t.shape.n)
+        u = oracles.random_matching(np.random.default_rng(3), t.shape).indicator()
+        for tensor, x in [(t, zero), (t, -zero), (empty, u), (empty, np.ones(t.shape.n))]:
+            out = tensor.contract_mat(x)
+            assert out.dtype == np.float64
+            assert out.tobytes() == oracles.contract_mat_full(tensor, x).tobytes()
 
     def test_support_that_no_orbit_touches(self):
         t = SparseSymmetricTensor3(MatchingShape(2, 4), [[0, 1, 2], [1, 2, 3]], [1.0, 2.0])
