@@ -46,7 +46,9 @@ class SamplingConfig:
     ``triples_per_point * n1`` triples are drawn from the template set (the
     distinct ones are kept); every drawn triple retains its ``knn`` nearest
     scene triangles in feature space.  Scene triple sets are enumerated
-    exhaustively up to ``Q_TRIPLE_CAP`` and sampled beyond that.
+    exhaustively up to ``Q_TRIPLE_CAP`` and sampled beyond that.  With an
+    enumerated scene, the template draws stop once every template triple
+    has come up, which leaves the kept triples as they are.
     """
 
     triples_per_point: int = 50
@@ -141,11 +143,28 @@ def triangle_feature(points, triple) -> np.ndarray:
     return feats[0]
 
 
-def _sample_sorted_triples(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
-    """Uniform triples of distinct indices, canonicalized and deduplicated."""
+def _sample_sorted_triples(
+    rng: np.random.Generator, m: int, count: int, stop_when_complete: bool
+) -> np.ndarray:
+    """Uniform triples of distinct indices, canonicalized and deduplicated.
+
+    With ``stop_when_complete``, the draws end once all C(m, 3) triples have
+    come up: later draws cannot change the result, only ``rng``'s state.
+    """
+    # Allocated up front, so an unallocatable count fails at once.
     draws = np.empty((count, 3), dtype=np.intp)
+    total = math.comb(m, 3)
+    # The triple's bit set is a key that needs no sort.
+    seen = set() if stop_when_complete and total <= count else None
     for row in range(count):
-        draws[row] = rng.choice(m, size=3, replace=False)
+        triple = rng.choice(m, size=3, replace=False)
+        draws[row] = triple
+        if seen is not None:
+            a, b, c = triple.tolist()
+            seen.add((1 << a) | (1 << b) | (1 << c))
+            if len(seen) == total:
+                draws = draws[: row + 1]
+                break
     draws.sort(axis=1)
     return unique_rows(draws)[0]
 
@@ -215,7 +234,10 @@ def build_tensor(
     shape = MatchingShape(n1, n2)
     rng = np.random.default_rng(sc.seed)
 
-    p_triples = _sample_sorted_triples(rng, n1, sc.triples_per_point * n1)
+    # An enumerated scene draws nothing, so the template sampler may stop once
+    # it has every triple; a sampled scene draws from the same stream after it.
+    scene_enumerated = math.comb(n2, 3) <= Q_TRIPLE_CAP
+    p_triples = _sample_sorted_triples(rng, n1, sc.triples_per_point * n1, scene_enumerated)
     p_feats, p_ok = _sine_features(P, p_triples)
     p_triples, p_feats = p_triples[p_ok], p_feats[p_ok]
 

@@ -75,7 +75,8 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows are ranked by one sort of the key ``(r0*m + r1)*m + r2`` with
     ``m = rows.max() + 1``, which orders them as ``np.lexsort`` does; when
-    ``m**3`` would overflow int64, by ``np.lexsort`` itself.
+    ``m**3`` would overflow int64, by ``np.lexsort`` itself.  The distinct
+    rows are a Fortran-ordered array, so each of its columns is contiguous.
     """
     m = int(rows.max(initial=0)) + 1
     first = np.ones(len(rows), dtype=bool)
@@ -87,11 +88,18 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         first[1:] = key[1:] != key[:-1]
     else:
         order = np.lexsort(rows.T[::-1])
-        ranked = rows[order]
-        first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        key = rows[order]
+        first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    # Freed before the gather below, which holds one column of scratch.
+    del key
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return rows[order[first]], inverse
+    # Gathered one column at a time, so no temporary holds every row.
+    sel = order[first]
+    distinct = np.empty((len(sel), 3), dtype=rows.dtype, order="F")
+    for c in range(3):
+        distinct[:, c] = rows[sel, c]
+    return distinct, inverse
 
 
 class SparseSymmetricTensor3:
@@ -100,9 +108,11 @@ class SparseSymmetricTensor3:
     Each stored orbit ``(i, j, k, v)`` with ``i < j < k`` represents the six
     permuted entries of value ``v``.  Triples are canonicalized at ingest
     (sorted ascending), triples with a repeated index are rejected, and
-    duplicate triples are summed.  Instances are immutable and safe to share
-    across threads; all contractions run in the fixed stored-orbit order, so
-    repeated evaluations are bit-identical.
+    duplicate triples are summed.  Triples must have an integer dtype, and
+    ``triples`` and ``values`` are given together or not at all.  ``idx`` is
+    Fortran-ordered, so each index column is contiguous.  Instances are
+    immutable and safe to share across threads; all contractions run in the
+    fixed stored-orbit order, so repeated evaluations are bit-identical.
     """
 
     __slots__ = ("shape", "idx", "val")
@@ -112,11 +122,16 @@ class SparseSymmetricTensor3:
         if triples is None and values is None:
             idx = np.empty((0, 3), dtype=np.intp)
             val = np.empty(0, dtype=np.float64)
+        elif triples is None or values is None:
+            raise ValueError("triples and values must be given together")
         else:
-            idx = np.asarray(triples, dtype=np.intp)
+            idx = np.asarray(triples)
             val = np.asarray(values, dtype=np.float64)
             if idx.ndim != 2 or idx.shape[1] != 3:
                 raise ValueError(f"triples must be (m, 3), got shape {idx.shape}")
+            if idx.size and idx.dtype.kind not in "iu":
+                raise ValueError(f"triples must be integer indices, got dtype {idx.dtype}")
+            idx = idx.astype(np.intp, copy=False)
             if val.shape != (idx.shape[0],):
                 raise ValueError("values must match the number of triples")
             if not np.all(np.isfinite(val)):
@@ -153,8 +168,11 @@ class SparseSymmetricTensor3:
         x = _as_vector(x, self.shape.n, "x")
         if not self.val.size:
             return 0.0
-        i, j, k = self.idx[:, 0], self.idx[:, 1], self.idx[:, 2]
-        return 6.0 * float(np.dot(self.val, x[i] * x[j] * x[k]))
+        i, j, k = self.idx.T
+        w = x[i]
+        w *= x[j]
+        w *= x[k]
+        return 6.0 * float(np.dot(self.val, w))
 
     def trilinear(self, x, y, z) -> float:
         """The symmetric trilinear form evaluated at three vectors: ``z . contract_vec(x, y)``."""
@@ -178,7 +196,7 @@ class SparseSymmetricTensor3:
         same = y is x
         x = _as_vector(x, n, "x")
         y = x if same else _as_vector(y, n, "y")
-        i, j, k = self.idx[:, 0], self.idx[:, 1], self.idx[:, 2]
+        i, j, k = self.idx.T
         val = self.val
         inside = x != 0.0 if same else (x != 0.0) | (y != 0.0)
         if not inside.all():
@@ -189,19 +207,23 @@ class SparseSymmetricTensor3:
         if not val.size:
             # bincount of no terms gives integer zeros.
             return np.zeros(n)
-        if same:
-            # x_a x_b + x_b x_a is 2 (x_a x_b) bit for bit.
-            x_i, x_j, x_k = x[i], x[j], x[k]
-            p = x_j * x_k
-            out = np.bincount(i, weights=val * (p + p), minlength=n)
-            p = x_i * x_k
-            out += np.bincount(j, weights=val * (p + p), minlength=n)
-            p = x_i * x_j
-            out += np.bincount(k, weights=val * (p + p), minlength=n)
-            return out
-        out = np.bincount(i, weights=val * (x[j] * y[k] + x[k] * y[j]), minlength=n)
-        out += np.bincount(j, weights=val * (x[i] * y[k] + x[k] * y[i]), minlength=n)
-        out += np.bincount(k, weights=val * (x[i] * y[j] + x[j] * y[i]), minlength=n)
+        xs = (x[i], x[j], x[k])
+        ys = xs if same else (y[i], y[j], y[k])
+        w = np.empty(val.size)
+        t = w if same else np.empty(val.size)
+
+        def weights(a, b):
+            # val * (x_a y_b + x_b y_a), computed in place in w.
+            np.multiply(xs[a], ys[b], out=w)
+            if not same:
+                np.multiply(xs[b], ys[a], out=t)
+            # For y = x, t is w: x_a x_b + x_b x_a is 2 (x_a x_b) bit for bit.
+            np.add(w, t, out=w)
+            return np.multiply(w, val, out=w)
+
+        out = np.bincount(i, weights=weights(1, 2), minlength=n)
+        out += np.bincount(j, weights=weights(0, 2), minlength=n)
+        out += np.bincount(k, weights=weights(0, 1), minlength=n)
         return out
 
     def contract_mat(self, x) -> np.ndarray:
@@ -218,7 +240,7 @@ class SparseSymmetricTensor3:
                 f"refusing to materialize a {n}x{n} matrix (limit {DENSE_MATRIX_LIMIT})"
             )
         x = _as_vector(x, n, "x")
-        i, j, k = self.idx[:, 0], self.idx[:, 1], self.idx[:, 2]
+        i, j, k = self.idx.T
         val = self.val
         inside = x != 0.0
         if not inside.all():
@@ -226,14 +248,17 @@ class SparseSymmetricTensor3:
             i, j, k, val = i[keep], j[keep], k[keep], val[keep]
         if not val.size:
             return np.zeros((n, n))
-        w_i = val * x[i]
-        w_j = val * x[j]
-        w_k = val * x[k]
+        # Six streams: orbit index c sends val * x_c to (a, b) and to (b, a).
         # Mirrored positions receive identical weight streams, so the result
         # is exactly symmetric.
-        pos = np.concatenate([j * n + k, k * n + j, i * n + k, k * n + i, i * n + j, j * n + i])
-        wts = np.concatenate([w_i, w_i, w_j, w_j, w_k, w_k])
-        flat = np.bincount(pos, weights=wts, minlength=n * n)
+        pos = np.empty((6, val.size), dtype=np.intp)
+        wts = np.empty((6, val.size))
+        for s, (c, a, b) in enumerate(((i, j, k), (j, i, k), (k, i, j))):
+            np.multiply(val, x[c], out=wts[2 * s])
+            wts[2 * s + 1] = wts[2 * s]
+            pos[2 * s] = a * n + b
+            pos[2 * s + 1] = b * n + a
+        flat = np.bincount(pos.reshape(-1), weights=wts.reshape(-1), minlength=n * n)
         return flat.reshape(n, n)
 
     def frobenius_norm(self) -> float:

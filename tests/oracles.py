@@ -119,6 +119,16 @@ def lifted_contract_vec_full(op: LiftedOperator, x, y, z) -> np.ndarray:
     return out
 
 
+def score_full(tensor: SparseSymmetricTensor3, x) -> float:
+    """``tensor.score(x)`` by one product expression over every stored orbit,
+    the package's kernel before it reused one weight buffer."""
+    x = np.asarray(x, dtype=np.float64)
+    if not tensor.val.size:
+        return 0.0
+    i, j, k = tensor.idx[:, 0], tensor.idx[:, 1], tensor.idx[:, 2]
+    return 6.0 * float(np.dot(tensor.val, x[i] * x[j] * x[k]))
+
+
 def contract_mat_full(tensor: SparseSymmetricTensor3, x) -> np.ndarray:
     """``tensor.contract_mat(x)`` by a pass over every stored orbit, the
     package's kernel before it learned to skip orbits outside the support."""
@@ -201,6 +211,29 @@ def knn_brute(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
         else:
             sel[row] = np.arange(k)
     return sel
+
+
+def sample_sorted_triples_all_draws(rng, m: int, count: int) -> np.ndarray:
+    """``affinity._sample_sorted_triples`` as it was before it could stop:
+    always ``count`` draws, distinct rows by ``np.unique``."""
+    draws = np.empty((count, 3), dtype=np.intp)
+    for row in range(count):
+        draws[row] = rng.choice(m, size=3, replace=False)
+    draws.sort(axis=1)
+    return np.unique(draws, axis=0)
+
+
+def draws_until_complete(seed: int, m: int, count: int) -> int:
+    """How many of ``count`` draws from ``default_rng(seed)`` it takes until
+    every one of the C(m, 3) triples has come up; ``count`` if they never do."""
+    rng = np.random.default_rng(seed)
+    total = len(list(itertools.combinations(range(m), 3)))
+    seen = set()
+    for row in range(count):
+        seen.add(tuple(sorted(rng.choice(m, size=3, replace=False).tolist())))
+        if len(seen) == total:
+            return row + 1
+    return count
 
 
 def canonical_orbits(triples, values):

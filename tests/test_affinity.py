@@ -1,9 +1,12 @@
 """Triangle-angle features and affinity construction."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hypermatch import (
@@ -174,6 +177,50 @@ class TestBuildTensor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert build_tensor(line[:3], line).nnz == 0
+
+
+@st.composite
+def sampler_cases(draw):
+    """``(seed, m, count)``: counts below, at and above C(m, 3)."""
+    m = draw(st.integers(3, 12))
+    count = draw(st.integers(1, 6 * math.comb(m, 3)))
+    return draw(st.integers(0, 2**32 - 1)), m, count
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=sampler_cases(), stop=st.booleans())
+def test_sampler_equals_the_all_draws_loop(case, stop):
+    seed, m, count = case
+    want_rng = np.random.default_rng(seed)
+    want = oracles.sample_sorted_triples_all_draws(want_rng, m, count)
+    rng = np.random.default_rng(seed)
+    got = affinity._sample_sorted_triples(rng, m, count, stop)
+    assert got.tobytes() == want.tobytes()
+    if stop:
+        # Stopped right after the draw that completed the set, or never.
+        want_rng = np.random.default_rng(seed)
+        for _ in range(oracles.draws_until_complete(seed, m, count)):
+            want_rng.choice(m, size=3, replace=False)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_sampler_stops_only_before_an_enumerated_scene(monkeypatch):
+    # 10 scene points give C(10, 3) = 120 triple sets: enumerated at a cap
+    # of 120, sampled from the template's stream at 119, where the template
+    # sampler must make every draw.
+    calls = []
+    sample = affinity._sample_sorted_triples
+
+    def record(rng, m, count, stop_when_complete):
+        calls.append(stop_when_complete)
+        return sample(rng, m, count, stop_when_complete)
+
+    monkeypatch.setattr(affinity, "_sample_sorted_triples", record)
+    P, Q = scene_instance(26, 4, 6)
+    for cap in (math.comb(10, 3), math.comb(10, 3) - 1):
+        monkeypatch.setattr(affinity, "Q_TRIPLE_CAP", cap)
+        build_tensor(P, Q)
+    assert calls == [True, False]
 
 
 def scene_instance(seed, n_in, n_out, sigma=0.03):

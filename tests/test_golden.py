@@ -36,8 +36,10 @@ def test_synth_grid_matches_golden_csv(tmp_path):
 
 
 # sha256 of build_tensor's idx and val bytes on tie-free random instances,
-# keyed by scene_instance's (seed, n_in, n_out).  10 into 110 points samples
-# the scene triples, since C(110, 3) exceeds affinity.Q_TRIPLE_CAP.
+# keyed by scene_instance's (seed, n_in, n_out).  10 into 110 and 4 into 108
+# points sample the scene triples, since C(108, 3) = 204 156 exceeds
+# affinity.Q_TRIPLE_CAP; the scene then draws from the template's stream, so
+# the 4-point template must make every one of its draws.
 TENSOR_DIGESTS = {
     (21, 10, 30): (
         "32f4ecaa16423d08b8f68a2f9f07146c9347e9b907b20dedb54f999a67e18596",
@@ -58,6 +60,10 @@ TENSOR_DIGESTS = {
     (25, 10, 100): (
         "1030c2f16c2e1eacbe8c7296f439e691a3439b53f4fe06d37dae68f78c19f0fd",
         "02af1f27ec9ef54688d625e049a71082f2d3a3568a02ce6653bb03730b6869df",
+    ),
+    (26, 4, 104): (
+        "0d7e9bc1a3220e9fa0800db511c27192efacb14f6e2207da7a68dbce36c6b1bf",
+        "22063294c899c36a544971b215bf4631738d78c0de9fc47551c9598da4995edb",
     ),
 }
 

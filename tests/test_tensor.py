@@ -15,9 +15,11 @@ from hypermatch import (
     SparseSymmetricTensor3,
     ThresholdExceeded,
     alpha_bound,
+    build_tensor,
     f4_norm_exact,
 )
 from hypermatch.tensor import unique_rows
+from test_affinity import scene_instance
 
 
 def basis(n, i):
@@ -107,6 +109,40 @@ class TestConstruction:
             t.val[0] = 2.0
         with pytest.raises(ValueError):
             t.idx[0, 0] = 1
+
+    def test_rejects_non_integer_triples(self):
+        shape = MatchingShape(2, 3)
+        with pytest.raises(ValueError, match="integer"):
+            SparseSymmetricTensor3(shape, [[0, 1, 2.5]], [1.0])
+        with pytest.raises(ValueError, match="integer"):
+            SparseSymmetricTensor3(shape, np.array([[0.0, 1.0, 2.0]]), [1.0])
+        # No entry, no dtype to check: an empty float array is an empty tensor.
+        assert SparseSymmetricTensor3(shape, np.empty((0, 3)), []).nnz == 0
+
+    def test_rejects_triples_or_values_alone(self):
+        shape = MatchingShape(2, 3)
+        with pytest.raises(ValueError, match="together"):
+            SparseSymmetricTensor3(shape, [[0, 1, 2]], None)
+        with pytest.raises(ValueError, match="together"):
+            SparseSymmetricTensor3(shape, None, [1.0])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SparseSymmetricTensor3(MatchingShape(2, 3)),
+            lambda: SparseSymmetricTensor3(MatchingShape(2, 3), [[0, 1, 2]], [1.0]),
+            lambda: SparseSymmetricTensor3(MatchingShape(2, 3), np.empty((0, 3)), []),
+            lambda: oracles.random_tensor(np.random.default_rng(8), MatchingShape(4, 7), 300),
+            lambda: build_tensor(*scene_instance(22, 10, 30)),
+        ],
+        ids=["empty", "one-orbit", "empty-input", "random", "built"],
+    )
+    def test_index_columns_are_contiguous_and_readonly(self, make):
+        t = make()
+        for c in range(3):
+            column = t.idx[:, c]
+            assert column.flags.c_contiguous
+            assert not column.flags.writeable
 
 
 class TestScore:
@@ -286,6 +322,14 @@ def test_lifted_contract_vec_bytes_equal_three_full_passes(t, data, alpha, patte
     op = LiftedOperator(t, alpha)
     expected = oracles.lifted_contract_vec_full(op, *args).tobytes()
     assert op.contract_vec(*args).tobytes() == expected
+
+
+@SETTINGS
+@given(t=random_tensors(), data=st.data())
+def test_score_bytes_equal_the_full_pass(t, data):
+    x = data.draw(vectors(t.shape))
+    expected = np.float64(oracles.score_full(t, x)).tobytes()
+    assert np.float64(t.score(x)).tobytes() == expected
 
 
 @SETTINGS
