@@ -2,11 +2,9 @@
 
 from .affinity import (
     AffinityParams,
-    DegenerateTriangle,
     SamplingConfig,
     build_matrix2,
     build_tensor,
-    triangle_feature,
 )
 from .bcagm import (
     Solution,
@@ -47,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinityParams",
     "AssignmentVector",
-    "DegenerateTriangle",
     "ExperimentSpec",
     "LiftedOperator",
     "MatchingShape",
@@ -83,6 +80,5 @@ __all__ = [
     "run_method",
     "solve",
     "solve_lap_max",
-    "triangle_feature",
     "trial_seed",
 ]

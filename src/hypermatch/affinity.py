@@ -21,8 +21,6 @@ from .tensor import MatchingShape, SparseSymmetricTensor3, unique_rows
 __all__ = [
     "SamplingConfig",
     "AffinityParams",
-    "DegenerateTriangle",
-    "triangle_feature",
     "build_tensor",
     "build_matrix2",
 ]
@@ -33,10 +31,6 @@ __all__ = [
 MIN_SIDE = 1e-9
 # Scene triple sets are enumerated exhaustively up to this many, sampled beyond.
 Q_TRIPLE_CAP = 200_000
-
-
-class DegenerateTriangle(ValueError):
-    """Collinear, coincident, or with a side below MIN_SIDE relative to the set's extent."""
 
 
 @dataclass(frozen=True)
@@ -123,24 +117,6 @@ def _sine_features(points: np.ndarray, triples: np.ndarray):
         (d_ab >= MIN_SIDE) & (d_ac >= MIN_SIDE) & (d_bc >= MIN_SIDE) & (area2 != 0.0)
     )
     return feats, valid
-
-
-def triangle_feature(points, triple) -> np.ndarray:
-    """Feature of one triangle: the interior-angle sines in vertex order.
-
-    Scale- and rotation-invariant by construction; raises
-    :class:`DegenerateTriangle` for collinear or near-coincident vertices.
-    """
-    pts = _as_points(points, "points")
-    tri = np.asarray(triple, dtype=np.intp).reshape(1, 3)
-    if len(set(tri[0].tolist())) != 3:
-        raise ValueError("triple must have three distinct indices")
-    if tri.min() < 0 or tri.max() >= len(pts):
-        raise ValueError(f"triple index outside [0, {len(pts)})")
-    feats, valid = _sine_features(pts, tri)
-    if not valid[0]:
-        raise DegenerateTriangle(f"triple {tuple(tri[0])} is degenerate")
-    return feats[0]
 
 
 def _sample_sorted_triples(

@@ -52,6 +52,11 @@ MAX_OUTER_ITERS = 100
 HOPM_MAX_ITER = 100
 HOPM_TOL = 1e-10
 
+# Entries a solve's contraction memo keeps: contract_vec results and scores
+# (each at most n floats), and contract_mat results (n x n each).
+_MEMO_VECTORS = 8
+_MEMO_MATRICES = 1
+
 
 class TraceViolation(RuntimeError):
     """A solver trace failed the guaranteed-ascent audit."""
@@ -132,6 +137,61 @@ class Solution:
     outer_iterations: int
 
 
+class _ContractionMemo:
+    """A tensor's ``score``, ``contract_vec`` and ``contract_mat`` with the
+    recent results kept, so that one solve contracts each operand once.
+
+    The block ascent contracts the same matchings again and again: every
+    merge and every alpha phase restarts the blocks from a matching they
+    have already seen.  An entry is keyed by its operands' bytes; the
+    kernels are deterministic, so equal bytes give equal results, and a hit
+    returns the very bytes a fresh pass would.  ``contract_vec`` is keyed by
+    the unordered pair: swapping its operands, or passing an equal copy of
+    ``x`` as ``y`` instead of ``x`` itself, gives the same bytes.  Each
+    table drops its least recently used entry when full, and a miss on
+    ``contract_mat`` drops the held matrix before it computes the next one.
+    Results are read-only.  A miss calls the tensor's own kernel, which
+    checks the operands.
+    """
+
+    __slots__ = ("tensor", "shape", "_vec", "_score", "_mat")
+
+    def __init__(self, tensor: SparseSymmetricTensor3):
+        self.tensor = tensor
+        self.shape = tensor.shape
+        self._vec = {}
+        self._score = {}
+        self._mat = {}
+
+    @staticmethod
+    def _recall(table: dict, size: int, key, compute):
+        value = table.pop(key, None)
+        if value is None:
+            if len(table) >= size:
+                del table[next(iter(table))]
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        table[key] = value
+        return value
+
+    def score(self, x) -> float:
+        key = np.asarray(x, dtype=np.float64).tobytes()
+        return self._recall(self._score, _MEMO_VECTORS, key, lambda: self.tensor.score(x))
+
+    def contract_vec(self, x, y) -> np.ndarray:
+        kx = np.asarray(x, dtype=np.float64).tobytes()
+        ky = kx if y is x else np.asarray(y, dtype=np.float64).tobytes()
+        key = (kx, ky) if kx <= ky else (ky, kx)
+        return self._recall(
+            self._vec, _MEMO_VECTORS, key, lambda: self.tensor.contract_vec(x, y)
+        )
+
+    def contract_mat(self, x) -> np.ndarray:
+        key = np.asarray(x, dtype=np.float64).tobytes()
+        return self._recall(self._mat, _MEMO_MATRICES, key, lambda: self.tensor.contract_mat(x))
+
+
 def default_start(tensor: SparseSymmetricTensor3) -> AssignmentVector:
     """One linear-assignment step applied to the all-ones blocks.
 
@@ -158,14 +218,15 @@ def _ascent(tensor, cfg, nblocks, update):
     """Shared driver: block sweeps, stall detection, merges, alpha phases."""
     tol = EQUALITY_TOL_REL
     trace = SolverTrace()
-    u_best = default_start(tensor)
+    memo = _ContractionMemo(tensor)
+    u_best = default_start(memo)
     u_vec = u_best.indicator()
-    trace.u_scores3.append(tensor.score(u_vec))
+    trace.u_scores3.append(memo.score(u_vec))
 
     outer = 0
     hit_cap = False
     for alpha in _alpha_phases(tensor, cfg):
-        op = LiftedOperator(tensor, alpha)
+        op = LiftedOperator(memo, alpha)
         assigns = [u_best] * nblocks
         vecs = [u_vec] * nblocks
         f_cur = s4_best = op.score(u_vec)
@@ -201,7 +262,7 @@ def _ascent(tensor, cfg, nblocks, update):
             )
             if s4_new - f_new > tol * (1.0 + abs(f_new)):
                 u_best, u_vec, s4_best = u_new, u_new_vec, s4_new
-                trace.u_scores3.append(tensor.score(u_vec))
+                trace.u_scores3.append(memo.score(u_vec))
                 assigns = [u_new] * nblocks
                 vecs = [u_vec] * nblocks
                 f_cur = s4_new
@@ -211,7 +272,7 @@ def _ascent(tensor, cfg, nblocks, update):
             # have climbed without ever merging).
             if s4_new - s4_best > tol * (1.0 + abs(s4_new)):
                 u_best, u_vec, s4_best = u_new, u_new_vec, s4_new
-                trace.u_scores3.append(tensor.score(u_vec))
+                trace.u_scores3.append(memo.score(u_vec))
             break
         if hit_cap:
             break

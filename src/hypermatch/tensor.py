@@ -148,6 +148,8 @@ class SparseSymmetricTensor3:
                 # bincount adds the weights in input order, so duplicates sum
                 # as they come.
                 val = np.bincount(inverse, weights=val, minlength=idx.shape[0])
+        # Empty input arrives as the caller's own arrays; only views are frozen.
+        idx, val = idx.view(), val.view()
         idx.setflags(write=False)
         val.setflags(write=False)
         self.shape = shape
@@ -276,6 +278,7 @@ class LiftedOperator:
     third-order entries over each dropped index, plus ``alpha`` times the
     symmetric tensor whose score function is the fourth power of the 2-norm.
     Everything is computed from the third-order tensor's contraction kernels.
+    Of ``tensor`` it uses ``shape``, ``score``, ``contract_vec`` and ``contract_mat`` only.
     """
 
     tensor: SparseSymmetricTensor3

@@ -4,7 +4,9 @@ Everything defined here works on dense arrays with explicit permutation
 loops, or is the scan, sort or full orbit pass the package has since
 replaced, so it shares no code path with the orbit-based package internals.
 The random instances and the enumeration and LAP brute force come from
-``hypermatch.selfcheck``, which runs the same references.
+``hypermatch.selfcheck``, which runs the same references.  The exception is
+:func:`triangle_feature`, a one-triangle entry to the build's own feature
+kernel, which the feature tests exercise.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 import numpy as np
 
 from hypermatch import LiftedOperator, MatchingShape, MpmResult, SparseSymmetricTensor3
-from hypermatch import qap
+from hypermatch import affinity, qap
 from hypermatch.selfcheck import (  # noqa: F401 - re-exported to the tests
     all_assignments,
     indicator,
@@ -22,6 +24,29 @@ from hypermatch.selfcheck import (  # noqa: F401 - re-exported to the tests
     random_matching,
     random_tensor,
 )
+
+
+class DegenerateTriangle(ValueError):
+    """Collinear, coincident, or with a side below ``affinity.MIN_SIDE``
+    relative to the set's extent."""
+
+
+def triangle_feature(points, triple) -> np.ndarray:
+    """The tensor build's feature of one triangle: the interior-angle sines
+    in vertex order, from ``affinity._sine_features``.
+
+    Raises :class:`DegenerateTriangle` where the build would skip the triple.
+    """
+    pts = affinity._as_points(points, "points")
+    tri = np.asarray(triple, dtype=np.intp).reshape(1, 3)
+    if len(set(tri[0].tolist())) != 3:
+        raise ValueError("triple must have three distinct indices")
+    if tri.min() < 0 or tri.max() >= len(pts):
+        raise ValueError(f"triple index outside [0, {len(pts)})")
+    feats, valid = affinity._sine_features(pts, tri)
+    if not valid[0]:
+        raise DegenerateTriangle(f"triple {tuple(tri[0])} is degenerate")
+    return feats[0]
 
 
 def dense_from_orbits(n: int, orbits) -> np.ndarray:

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 import oracles
 from hypermatch import (
     AffinityParams,
-    DegenerateTriangle,
     SamplingConfig,
     affinity,
     build_matrix2,
     build_tensor,
     run_method,
-    triangle_feature,
 )
+from oracles import DegenerateTriangle, triangle_feature
 
 SQ3_2 = np.sqrt(3.0) / 2.0
 SQ2_2 = np.sqrt(2.0) / 2.0

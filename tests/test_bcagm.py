@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hypermatch import bcagm as bcagm_module
@@ -17,8 +19,12 @@ from hypermatch import (
     default_start,
     f4_norm_exact,
     hopm_baseline,
+    run_method,
     solve,
 )
+from hypermatch.bcagm import ALPHA_SCHEDULES, TENSOR_METHODS
+from test_golden import solution_doc
+from test_tensor import random_tensors
 
 ALL_CONFIGS = [
     SolverConfig(variant="bcagm"),
@@ -167,6 +173,72 @@ class TestReturnedScores:
             alpha = sol.trace.alpha_phases[-1]["alpha"]
             assert sol.score3 == t.score(x)
             assert sol.score4_alpha == LiftedOperator(t, alpha).score(x)
+
+
+class TestContractionMemo:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        t=random_tensors(),
+        schedule=st.sampled_from(ALPHA_SCHEDULES),
+        one_sweep=st.booleans(),
+    )
+    def test_solutions_equal_those_without_the_memo(self, t, schedule, one_sweep):
+        with pytest.MonkeyPatch.context() as m:
+            if one_sweep:
+                m.setattr(bcagm_module, "MAX_OUTER_ITERS", 1)
+            with_memo = [solution_doc(run_method(name, t, schedule)) for name in TENSOR_METHODS]
+            m.setattr(bcagm_module, "_ContractionMemo", lambda tensor: tensor)
+            without = [solution_doc(run_method(name, t, schedule)) for name in TENSOR_METHODS]
+        assert with_memo == without
+
+    def test_repeats_and_swapped_pairs_reuse_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        t = oracles.random_tensor(rng, MatchingShape(4, 6), 40)
+        calls = []
+        for name in ("score", "contract_vec", "contract_mat"):
+            kernel = getattr(SparseSymmetricTensor3, name)
+
+            def counted(self, *args, kernel=kernel, name=name):
+                calls.append(name)
+                return kernel(self, *args)
+
+            monkeypatch.setattr(SparseSymmetricTensor3, name, counted)
+        memo = bcagm_module._ContractionMemo(t)
+        x, y = (oracles.random_matching(rng, t.shape).indicator() for _ in range(2))
+        first = memo.contract_vec(x, y)
+        # The swapped pair and an equal copy hit the same entry.
+        assert memo.contract_vec(y, x.copy()) is first
+        assert memo.contract_vec(x, x).tobytes() == memo.contract_vec(x, x.copy()).tobytes()
+        assert memo.score(x) == memo.score(x.copy())
+        assert memo.contract_mat(y) is memo.contract_mat(y.copy())
+        assert calls == ["contract_vec", "contract_vec", "score", "contract_mat"]
+        assert first.tobytes() == t.contract_vec(x, y).tobytes()
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        with pytest.raises(ValueError):
+            memo.contract_mat(y)[0, 0] = 1.0
+
+    def test_holds_a_bounded_number_of_entries(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        t = oracles.random_tensor(rng, MatchingShape(4, 6), 40)
+        memo = bcagm_module._ContractionMemo(t)
+        kernel = SparseSymmetricTensor3.contract_mat
+
+        def one_matrix_at_a_time(self, x):
+            # A miss drops the held matrix before it computes the next.
+            assert not memo._mat
+            return kernel(self, x)
+
+        monkeypatch.setattr(SparseSymmetricTensor3, "contract_mat", one_matrix_at_a_time)
+        for _ in range(50):
+            x, y = rng.uniform(size=(2, t.shape.n))
+            assert memo.contract_vec(x, y).tobytes() == t.contract_vec(x, y).tobytes()
+            assert memo.score(x) == t.score(x)
+            assert memo.contract_mat(y).tobytes() == kernel(t, y).tobytes()
+            assert len(memo._vec) <= bcagm_module._MEMO_VECTORS
+            assert len(memo._score) <= bcagm_module._MEMO_VECTORS
+            assert len(memo._mat) == bcagm_module._MEMO_MATRICES == 1
+        assert len(memo._vec) == len(memo._score) == bcagm_module._MEMO_VECTORS
 
 
 class TestBcagmPsiSolve:

@@ -109,6 +109,14 @@ class TestConstruction:
             t.val[0] = 2.0
         with pytest.raises(ValueError):
             t.idx[0, 0] = 1
+        # Only the stored arrays are frozen, not the caller's, even when
+        # empty input could be stored as it is.
+        for orbits in (0, 2):
+            triples = np.array([[0, 1, 2], [1, 2, 3]], dtype=np.intp)[:orbits]
+            values = np.array([1.0, 2.0])[:orbits]
+            t = SparseSymmetricTensor3(MatchingShape(2, 3), triples, values)
+            assert not t.idx.flags.writeable and not t.val.flags.writeable
+            assert triples.flags.writeable and values.flags.writeable
 
     def test_rejects_non_integer_triples(self):
         shape = MatchingShape(2, 3)
@@ -307,6 +315,8 @@ def test_contract_vec_bytes_equal_the_full_pass(case):
     assert t.contract_vec(x, y).tobytes() == expected
     # The tensor keeps no state between calls.
     assert t.contract_vec(x, y).tobytes() == expected
+    # The solvers' contraction memo keys the pair unordered.
+    assert t.contract_vec(y, x).tobytes() == expected
 
 
 @SETTINGS
