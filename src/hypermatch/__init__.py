@@ -16,7 +16,6 @@ from .bcagm import (
     default_start,
     hopm_baseline,
     run_method,
-    solve,
 )
 from .harness import (
     ExperimentSpec,
@@ -78,7 +77,6 @@ __all__ = [
     "reshape_to_profit",
     "run_grid",
     "run_method",
-    "solve",
     "solve_lap_max",
     "trial_seed",
 ]

@@ -21,7 +21,6 @@ from .tensor import LiftedOperator, SparseSymmetricTensor3, alpha_bound
 
 __all__ = [
     "ALPHA_SCHEDULES",
-    "SUBROUTINES",
     "TENSOR_METHODS",
     "VARIANTS",
     "TraceViolation",
@@ -32,11 +31,16 @@ __all__ = [
     "bcagm_solve",
     "bcagm_psi_solve",
     "hopm_baseline",
-    "solve",
     "run_method",
 ]
 
-ALPHA_SCHEDULES = ("zero_then_bound", "bound_always", "zero_only")
+# The convexification schedules, by name: one flag per alpha phase, True
+# where the phase uses alpha_bound(tensor) and False where it uses zero.
+ALPHA_SCHEDULES = {
+    "zero_then_bound": (False, True),
+    "bound_always": (True,),
+    "zero_only": (False,),
+}
 VARIANTS = ("bcagm", "bcagm_psi")
 
 TERMINATED_STALLED = "stalled"
@@ -84,7 +88,8 @@ class SolverConfig:
             )
         if self.alpha_schedule not in ALPHA_SCHEDULES:
             raise ValueError(
-                f"alpha_schedule must be one of {ALPHA_SCHEDULES}, got {self.alpha_schedule!r}"
+                f"alpha_schedule must be one of {tuple(ALPHA_SCHEDULES)}, "
+                f"got {self.alpha_schedule!r}"
             )
 
 
@@ -205,15 +210,6 @@ def default_start(tensor: SparseSymmetricTensor3) -> AssignmentVector:
     return solve_lap_max(reshape_to_profit(profit, tensor.shape))
 
 
-def _alpha_phases(tensor: SparseSymmetricTensor3, cfg: SolverConfig) -> list[float]:
-    bound = alpha_bound(tensor)
-    return {
-        "zero_then_bound": [0.0, bound],
-        "bound_always": [bound],
-        "zero_only": [0.0],
-    }[cfg.alpha_schedule]
-
-
 def _ascent(tensor, cfg, nblocks, update):
     """Shared driver: block sweeps, stall detection, merges, alpha phases."""
     tol = EQUALITY_TOL_REL
@@ -225,7 +221,9 @@ def _ascent(tensor, cfg, nblocks, update):
 
     outer = 0
     hit_cap = False
-    for alpha in _alpha_phases(tensor, cfg):
+    bound = alpha_bound(tensor)
+    for convexify in ALPHA_SCHEDULES[cfg.alpha_schedule]:
+        alpha = bound if convexify else 0.0
         op = LiftedOperator(memo, alpha)
         assigns = [u_best] * nblocks
         vecs = [u_vec] * nblocks
@@ -294,7 +292,7 @@ def _config_for(variant: str, cfg: SolverConfig | None) -> SolverConfig:
     if cfg is None:
         return SolverConfig(variant=variant)
     if cfg.variant != variant:
-        raise ValueError(f"config is for variant {cfg.variant!r}, not {variant!r}; use solve")
+        raise ValueError(f"config is for variant {cfg.variant!r}, not {variant!r}")
     return cfg
 
 
@@ -346,27 +344,22 @@ def hopm_baseline(tensor: SparseSymmetricTensor3) -> Solution:
     else:
         reason, v = ("converged" if res.converged else "max_iters"), res.vector
     assignment = solve_lap_max(reshape_to_profit(v, shape))
-    score3 = tensor.score(assignment.indicator())
+    x = assignment.indicator()
+    # One tensor pass serves both scores.
+    memo = _ContractionMemo(tensor)
+    score3 = memo.score(x)
     trace = SolverTrace(u_scores3=[score3], terminated=reason)
     return Solution(
         assignment=assignment,
         score3=score3,
-        score4_alpha=LiftedOperator(tensor, 0.0).score(assignment.indicator()),
+        score4_alpha=LiftedOperator(memo, 0.0).score(x),
         trace=trace,
         outer_iterations=res.iterations,
     )
 
 
-def solve(tensor: SparseSymmetricTensor3, cfg: SolverConfig | None = None) -> Solution:
-    """Dispatch on ``cfg.variant``."""
-    cfg = cfg if cfg is not None else SolverConfig()
-    if cfg.variant == "bcagm":
-        return bcagm_solve(tensor, cfg)
-    return bcagm_psi_solve(tensor, cfg)
-
-
 # The tensor methods, by name: each maps to the SolverConfig fields that
-# :func:`solve` runs it with, except ``hopm`` (None), the power-method
+# :func:`run_method` runs it with, except ``hopm`` (None), the power-method
 # baseline.  Solvers are looked up by their module-global names at call time,
 # so code that rewraps those names sees every call.
 TENSOR_METHODS = {
@@ -386,4 +379,7 @@ def run_method(
     fields = TENSOR_METHODS[name]
     if fields is None:
         return hopm_baseline(tensor)
-    return solve(tensor, SolverConfig(**fields, alpha_schedule=alpha_schedule))
+    cfg = SolverConfig(**fields, alpha_schedule=alpha_schedule)
+    if cfg.variant == "bcagm":
+        return bcagm_solve(tensor, cfg)
+    return bcagm_psi_solve(tensor, cfg)

@@ -108,7 +108,6 @@ class TrialCase:
     Q: np.ndarray
     gt: np.ndarray
     tensor: SparseSymmetricTensor3
-    seed: int
 
     @property
     def shape(self) -> MatchingShape:
@@ -174,7 +173,7 @@ def prepare_case(spec: ExperimentSpec, n_out: int, trial: int) -> TrialCase:
     P, Q, gt = gen_instance(spec.n_in, n_out, spec.sigma, spec.scale, seed)
     sampling = replace(spec.sampling, seed=(seed + 1) & (2**63 - 1))
     tensor = build_tensor(P, Q, sampling, spec.affinity)
-    return TrialCase(P=P, Q=Q, gt=gt, tensor=tensor, seed=seed)
+    return TrialCase(P=P, Q=Q, gt=gt, tensor=tensor)
 
 
 def _run_method(method: str, case: TrialCase, matrix2, spec: ExperimentSpec):
@@ -188,17 +187,16 @@ def _run_method(method: str, case: TrialCase, matrix2, spec: ExperimentSpec):
         start = solve_lap_max(reshape_to_profit(matrix2 @ ones, shape))
         res = ipfp(matrix2, start)
         return res.assignment, res.inner_iterations
-    if method == "mpm2":
-        res = mpm(matrix2, shape)
-        assignment = solve_lap_max(reshape_to_profit(res.vector, shape))
-        return assignment, res.iterations
-    raise ValueError(f"unknown method {method!r}")
+    # mpm2, the one method left: ExperimentSpec accepts only METHODS.
+    res = mpm(matrix2, shape)
+    assignment = solve_lap_max(reshape_to_profit(res.vector, shape))
+    return assignment, res.iterations
 
 
 def _run_trial(spec: ExperimentSpec, n_out: int, trial: int) -> list[ResultRecord]:
     case = prepare_case(spec, n_out, trial)
     matrix2 = None
-    if any(m in ("ipfp2", "mpm2") for m in spec.methods):
+    if any(m not in TENSOR_METHODS for m in spec.methods):
         matrix2 = build_matrix2(case.P, case.Q, spec.affinity)
     records = []
     for method in spec.methods:

@@ -184,7 +184,7 @@ def psi_with_guard(A, x0: AssignmentVector, method: str = "ipfp") -> QapResult:
     subroutine a valid ascent step.
     """
     if method not in SUBROUTINES:
-        raise ValueError(f"unknown subroutine {method!r}, expected 'ipfp' or 'mpm'")
+        raise ValueError(f"unknown subroutine {method!r}, expected one of {SUBROUTINES}")
     if method == "ipfp":
         return ipfp(A, x0)
     # mpm validates A; the objectives below are read only after it has, so a

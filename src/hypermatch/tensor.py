@@ -314,20 +314,13 @@ class LiftedOperator:
     def contract_vec(self, x, y, z) -> np.ndarray:
         """Gradient-direction contraction: the vector ``form(x, y, z, .)``."""
         n = self.n
-        # The tensor's contract_vec checks each operand on its first use.
-        # asarray returns a float64 array as it is, so identities survive.
+        # The tensor's contract_vec checks each operand.  A solve passes a
+        # contraction memo as the tensor, which contracts a repeated pair once.
         x, y, z = (np.asarray(v, dtype=np.float64) for v in (x, y, z))
         tn = self.tensor
-        # Repeated arguments reuse a contraction: contract_vec(y, x) equals
-        # contract_vec(x, y) bit for bit.
         cxy = tn.contract_vec(x, y)
-        cxz = cxy if z is y else tn.contract_vec(x, z)
-        if y is x:
-            cyz = cxz
-        elif z is x:
-            cyz = cxy
-        else:
-            cyz = tn.contract_vec(y, z)
+        cxz = tn.contract_vec(x, z)
+        cyz = tn.contract_vec(y, z)
         # The copy that drops the output index is constant: trilinear(x, y, z).
         out = np.full(n, float(z @ cxy))
         out += float(z.sum()) * cxy
@@ -347,7 +340,7 @@ class LiftedOperator:
         x, y = (np.asarray(v, dtype=np.float64) for v in (x, y))
         tn = self.tensor
         mx = tn.contract_mat(x)
-        my = mx if y is x else tn.contract_mat(y)
+        my = tn.contract_mat(y)
         c = tn.contract_vec(x, y)
         out = c[:, None] + c[None, :]
         out += float(y.sum()) * mx

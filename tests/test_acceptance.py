@@ -16,16 +16,16 @@ from hypermatch import (
     ExperimentSpec,
     LiftedOperator,
     MatchingShape,
-    SolverConfig,
     bcagm_solve,
     f4_norm_exact,
     prepare_case,
     psi_with_guard,
     qap_objective,
     run_grid,
-    solve,
+    run_method,
     solve_lap_max,
 )
+from hypermatch.bcagm import TENSOR_METHODS
 from hypermatch.cli import main as cli_main
 
 
@@ -36,11 +36,8 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} ({name}) failed {suffix}"
 
 
-SOLVERS = (
-    ("bcagm", SolverConfig(variant="bcagm")),
-    ("bcagm_ipfp", SolverConfig(variant="bcagm_psi", subroutine="ipfp")),
-    ("bcagm_mp", SolverConfig(variant="bcagm_psi", subroutine="mpm")),
-)
+# The paper's block-ascent methods: every registry entry but the hopm baseline.
+ASCENT_METHODS = tuple(name for name, fields in TENSOR_METHODS.items() if fields is not None)
 
 
 def test_criterion_01_monotonic_ascent():
@@ -51,8 +48,8 @@ def test_criterion_01_monotonic_ascent():
     started = time.perf_counter()
     for instance in range(100):
         tensor = oracles.random_tensor(rng, shape, 50)
-        for name, cfg in SOLVERS:
-            sol = solve(tensor, cfg)
+        for name in ASCENT_METHODS:
+            sol = run_method(name, tensor)
             u = sol.trace.u_scores3
             strict = all(b - a > -tol * (1.0 + abs(a)) and b > a for a, b in zip(u, u[1:]))
             if not strict:
@@ -206,7 +203,7 @@ GRID_SPEC = ExperimentSpec(
     scale=1.0,
     trials=20,
     seed_base=2024,
-    methods=("bcagm", "bcagm_mp", "bcagm_ipfp", "hopm"),
+    methods=tuple(TENSOR_METHODS),
     deterministic=True,
 )
 
@@ -243,13 +240,13 @@ def test_criterion_09_synthetic_protocol(synthetic_grid):
 
     if any(r.status != "ok" for r in records):
         failures.append("error rows present")
-    for method in ("bcagm", "bcagm_mp", "bcagm_ipfp"):
+    for method in ASCENT_METHODS:
         acc = _mean(records, method, 0, "accuracy")
         if acc < 0.95:
             failures.append(f"{method} accuracy at 0 outliers: {acc:.3f} < 0.95")
     for n_out in GRID_SPEC.n_out:
         hopm_score = _mean(records, "hopm", n_out, "score3")
-        for method in ("bcagm", "bcagm_mp", "bcagm_ipfp"):
+        for method in ASCENT_METHODS:
             score = _mean(records, method, n_out, "score3")
             if score < hopm_score - 1e-9:
                 failures.append(

@@ -20,18 +20,10 @@ from hypermatch import (
     f4_norm_exact,
     hopm_baseline,
     run_method,
-    solve,
 )
 from hypermatch.bcagm import ALPHA_SCHEDULES, TENSOR_METHODS
 from test_golden import solution_doc
 from test_tensor import random_tensors
-
-ALL_CONFIGS = [
-    SolverConfig(variant="bcagm"),
-    SolverConfig(variant="bcagm_psi", subroutine="ipfp"),
-    SolverConfig(variant="bcagm_psi", subroutine="mpm"),
-]
-
 
 def identity_tensor(n=3, value=1.0):
     shape = MatchingShape(n, n)
@@ -136,7 +128,7 @@ class TestBcagmSolve:
         shape = MatchingShape(4, 6)
         t = oracles.random_tensor(rng, shape, 40)
         scores = {}
-        for schedule in ("zero_then_bound", "bound_always", "zero_only"):
+        for schedule in ALPHA_SCHEDULES:
             sol = bcagm_solve(t, SolverConfig(variant="bcagm", alpha_schedule=schedule))
             scores[schedule] = sol.score3
             assert sol.trace.terminated == "stalled"
@@ -162,15 +154,17 @@ class TestReturnedScores:
         runs = []
         for _ in range(5):
             t = oracles.random_tensor(rng, shape, 40)
-            for cfg in ALL_CONFIGS:
-                runs.append((t, solve(t, cfg)))
+            for name in TENSOR_METHODS:
+                runs.append((t, run_method(name, t)))
                 with monkeypatch.context() as m:
                     m.setattr(bcagm_module, "MAX_OUTER_ITERS", 1)
-                    runs.append((t, solve(t, cfg)))
+                    runs.append((t, run_method(name, t)))
         assert any(sol.trace.terminated == "max_outer_iters" for _, sol in runs)
         for t, sol in runs:
             x = sol.assignment.indicator()
-            alpha = sol.trace.alpha_phases[-1]["alpha"]
+            phases = sol.trace.alpha_phases
+            # hopm has no alpha phases; its score4_alpha is taken at alpha 0.
+            alpha = phases[-1]["alpha"] if phases else 0.0
             assert sol.score3 == t.score(x)
             assert sol.score4_alpha == LiftedOperator(t, alpha).score(x)
 
@@ -179,7 +173,7 @@ class TestContractionMemo:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         t=random_tensors(),
-        schedule=st.sampled_from(ALPHA_SCHEDULES),
+        schedule=st.sampled_from(tuple(ALPHA_SCHEDULES)),
         one_sweep=st.booleans(),
     )
     def test_solutions_equal_those_without_the_memo(self, t, schedule, one_sweep):
@@ -335,6 +329,23 @@ class TestHopmBaseline:
         assert sol.trace.terminated in ("converged", "max_iters")
         assert sol.score3 == pytest.approx(t.score(sol.assignment.indicator()), rel=1e-10)
 
+    def test_both_scores_come_from_one_score_pass(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        t = oracles.random_tensor(rng, MatchingShape(4, 6), 40)
+        calls = []
+        kernel = SparseSymmetricTensor3.score
+
+        def counted(self, x):
+            calls.append(None)
+            return kernel(self, x)
+
+        monkeypatch.setattr(SparseSymmetricTensor3, "score", counted)
+        sol = hopm_baseline(t)
+        assert len(calls) == 1
+        x = sol.assignment.indicator()
+        assert sol.score3 == kernel(t, x)
+        assert sol.score4_alpha == 4.0 * kernel(t, x) * float(x.sum())
+
     def test_iteration_cap_reported(self, monkeypatch):
         rng = np.random.default_rng(50)
         t = oracles.random_tensor(rng, MatchingShape(4, 6), 40)
@@ -345,19 +356,42 @@ class TestHopmBaseline:
 
 
 class TestDispatcher:
-    def test_solve_routes_by_variant(self):
+    def test_run_method_routes_each_method(self, monkeypatch):
+        # run_method calls the solvers by their module-global names.
+        calls = []
+        for solver in ("bcagm_solve", "bcagm_psi_solve", "hopm_baseline"):
+
+            def record(tensor, cfg=None, solver=solver):
+                calls.append((solver, cfg))
+
+            monkeypatch.setattr(bcagm_module, solver, record)
         t = identity_tensor(3)
-        s1 = solve(t, SolverConfig(variant="bcagm"))
-        s2 = solve(t, SolverConfig(variant="bcagm_psi", subroutine="ipfp"))
-        assert s1.assignment.cols == s2.assignment.cols == (0, 1, 2)
+        for name, fields in TENSOR_METHODS.items():
+            calls.clear()
+            run_method(name, t, "zero_only")
+            if fields is None:
+                assert calls == [("hopm_baseline", None)]
+                continue
+            cfg = SolverConfig(**fields, alpha_schedule="zero_only")
+            solver = "bcagm_solve" if cfg.variant == "bcagm" else "bcagm_psi_solve"
+            assert calls == [(solver, cfg)]
 
     def test_default_config(self):
+        # A solver called without a config runs its variant's defaults.
         t = identity_tensor(3)
-        assert solve(t).assignment.cols == (0, 1, 2)
+        for name in TENSOR_METHODS:
+            assert run_method(name, t).assignment.cols == (0, 1, 2)
+        t = oracles.random_tensor(np.random.default_rng(54), MatchingShape(4, 6), 40)
+        assert solution_doc(bcagm_solve(t)) == solution_doc(
+            bcagm_solve(t, SolverConfig(variant="bcagm"))
+        )
+        assert solution_doc(bcagm_psi_solve(t)) == solution_doc(
+            bcagm_psi_solve(t, SolverConfig(variant="bcagm_psi"))
+        )
 
     def test_solvers_refuse_the_other_variant(self):
         t = identity_tensor(3)
-        with pytest.raises(ValueError, match="solve"):
+        with pytest.raises(ValueError, match="variant"):
             bcagm_solve(t, SolverConfig(variant="bcagm_psi", subroutine="mpm"))
-        with pytest.raises(ValueError, match="solve"):
+        with pytest.raises(ValueError, match="variant"):
             bcagm_psi_solve(t, SolverConfig(subroutine="mpm"))

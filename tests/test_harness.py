@@ -162,7 +162,7 @@ class TestRunGrid:
         for rec in records:
             # rebuild the method output on the reconstructed case
             matrix2 = None
-            if rec.method in ("ipfp2", "mpm2"):
+            if rec.method not in bcagm.TENSOR_METHODS:
                 from hypermatch import build_matrix2
 
                 matrix2 = build_matrix2(case.P, case.Q, spec.affinity)

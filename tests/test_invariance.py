@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypermatch import build_tensor, gen_instance
 from hypermatch.bcagm import TENSOR_METHODS
 from hypermatch.cli import main
+from test_acceptance import ASCENT_METHODS
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 EMPTY_WARNING = "hypermatch: warning: the affinity tensor is empty; the assignment is a guess\n"
@@ -185,7 +186,7 @@ DEGENERATE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
-@pytest.mark.parametrize("method", ["bcagm", "bcagm_ipfp", "bcagm_mp"])
+@pytest.mark.parametrize("method", ASCENT_METHODS)
 def test_degenerate_inputs_ascend_strictly(case, method):
     P, Q = DEGENERATE_CASES[case]
     code, out, err = run_match(problem(P.tolist(), Q.tolist()), "--method", method)

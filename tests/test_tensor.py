@@ -18,6 +18,7 @@ from hypermatch import (
     build_tensor,
     f4_norm_exact,
 )
+from hypermatch import bcagm
 from hypermatch.tensor import unique_rows
 from test_affinity import scene_instance
 
@@ -455,12 +456,14 @@ class TestSupportAwareContraction:
             return kernel(self, x, y)
 
         monkeypatch.setattr(SparseSymmetricTensor3, "contract_vec", counted)
-        op = LiftedOperator(t)
         expected = [((u, u, u), 1), ((v, u, u), 2), ((u, v, u), 2), ((u, u, v), 2), ((u, v, w), 3)]
         for args, count in expected:
+            # A solve hands LiftedOperator a fresh contraction memo, which
+            # contracts a repeated pair of arguments once.
             calls.clear()
-            op.contract_vec(*args)
+            got = LiftedOperator(bcagm._ContractionMemo(t)).contract_vec(*args)
             assert len(calls) == count
+            assert got.tobytes() == LiftedOperator(t).contract_vec(*args).tobytes()
 
 
 class TestLiftedOperator:
