@@ -258,20 +258,18 @@ def _ascent(tensor, cfg, nblocks, update):
                 vecs[best_block],
                 scores4[best_block],
             )
-            if s4_new - f_new > tol * (1.0 + abs(f_new)):
+            merged = s4_new - f_new > tol * (1.0 + abs(f_new))
+            # Without a merge the phase ends.  Its terminal argmax is adopted
+            # when it strictly beats the incumbent (the sweeps may have
+            # climbed without ever merging).
+            if merged or s4_new - s4_best > tol * (1.0 + abs(s4_new)):
                 u_best, u_vec, s4_best = u_new, u_new_vec, s4_new
                 trace.u_scores3.append(memo.score(u_vec))
-                assigns = [u_new] * nblocks
-                vecs = [u_vec] * nblocks
-                f_cur = s4_new
-                continue
-            # No further improvement in this phase.  Adopt the terminal
-            # argmax when it strictly beats the incumbent (the sweeps may
-            # have climbed without ever merging).
-            if s4_new - s4_best > tol * (1.0 + abs(s4_new)):
-                u_best, u_vec, s4_best = u_new, u_new_vec, s4_new
-                trace.u_scores3.append(memo.score(u_vec))
-            break
+            if not merged:
+                break
+            assigns = [u_best] * nblocks
+            vecs = [u_vec] * nblocks
+            f_cur = s4_best
         if hit_cap:
             break
 

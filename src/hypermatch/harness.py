@@ -44,7 +44,11 @@ CSV_HEADER = "method,trial,n_in,n_out,sigma,scale,accuracy,score3,iterations,wal
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One benchmark grid: outlier counts x trials x methods."""
+    """One benchmark grid: outlier counts x trials x methods.
+
+    Each trial's sampling seed is derived from ``seed_base``, so
+    ``sampling.seed`` must be left at 0.
+    """
 
     n_in: int
     n_out: tuple[int, ...] = (0,)
@@ -81,6 +85,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown methods {unknown}, expected subset of {METHODS}")
         if self.threads < 0:
             raise ValueError("threads must be nonnegative (0 = auto)")
+        if self.sampling.seed:
+            raise ValueError(
+                "sampling.seed is derived per trial from seed_base; set seed_base instead"
+            )
 
 
 @dataclass(frozen=True)

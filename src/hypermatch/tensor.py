@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "DENSE_MATRIX_LIMIT",
-    "F4_EXACT_LIMIT",
     "ThresholdExceeded",
     "MatchingShape",
     "SparseSymmetricTensor3",
@@ -28,8 +27,6 @@ __all__ = [
 
 # n above which n-by-n dense results are refused (~200 MB of float64).
 DENSE_MATRIX_LIMIT = 5000
-# n above which the O(n^4) exact lifted norm is refused.
-F4_EXACT_LIMIT = 40
 
 
 class ThresholdExceeded(ValueError):
@@ -355,44 +352,25 @@ class LiftedOperator:
 def alpha_bound(tensor: SparseSymmetricTensor3) -> float:
     """A convexification weight that is always sufficient.
 
-    The lifted tensor is the sum of four copies of the third-order tensor,
-    each constant along one mode, so its Frobenius norm is at most
-    ``4 * sqrt(n)`` times the third-order norm.  Returns three times that
-    upper bound, avoiding the O(n^4) exact norm.
+    Three times ``4 * sqrt(n)`` times the third-order Frobenius norm.  By
+    Cauchy-Schwarz ``||M||^2 <= n * ||T||^2`` in the closed form of
+    :func:`f4_norm_exact`, so this is at least ``3 * f4_norm_exact``.  The
+    solvers use this bound rather than the exact norm, since their output
+    bytes depend on it.
     """
     return 12.0 * float(np.sqrt(tensor.shape.n)) * tensor.frobenius_norm()
 
 
-def _dense3(tensor: SparseSymmetricTensor3) -> np.ndarray:
-    n = tensor.shape.n
-    dense = np.zeros((n, n, n))
-    if tensor.val.size:
-        i, j, k = tensor.idx[:, 0], tensor.idx[:, 1], tensor.idx[:, 2]
-        v = tensor.val
-        dense[i, j, k] = v
-        dense[i, k, j] = v
-        dense[j, i, k] = v
-        dense[j, k, i] = v
-        dense[k, i, j] = v
-        dense[k, j, i] = v
-    return dense
-
-
 def f4_norm_exact(tensor: SparseSymmetricTensor3) -> float:
-    """Exact Frobenius norm of the lifted fourth-order tensor, by brute force.
+    """Exact Frobenius norm of the lifted fourth-order tensor, in closed form.
 
-    Materializes all n^4 entries; intended as a small-scale reference only.
+    With ``F_ijkl = T_ijk + T_ijl + T_ikl + T_jkl``, each of the four copies
+    squared and summed over its free index gives ``n * ||T||^2``, and each of
+    the twelve cross terms shares two indices, giving ``||M||^2`` with
+    ``M = contract_mat(ones)``.  So ``||F||^2 = 4n ||T||^2 + 12 ||M||^2``.
+    The limit is ``contract_mat``'s: above ``DENSE_MATRIX_LIMIT`` it raises
+    :class:`ThresholdExceeded`.
     """
     n = tensor.shape.n
-    if n > F4_EXACT_LIMIT:
-        raise ThresholdExceeded(
-            f"exact lifted norm needs n <= {F4_EXACT_LIMIT}, got n = {n}"
-        )
-    t3 = _dense3(tensor)
-    f4 = (
-        t3[:, :, :, None]
-        + t3[:, :, None, :]
-        + t3[:, None, :, :]
-        + t3[None, :, :, :]
-    )
-    return float(np.sqrt(np.sum(f4 * f4)))
+    m = tensor.contract_mat(np.ones(n))
+    return float(np.sqrt(4.0 * n * tensor.frobenius_norm() ** 2 + 12.0 * np.sum(m * m)))

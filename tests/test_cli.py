@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -391,6 +395,23 @@ class TestSelfcheck:
 
     def test_force_fail_flag_is_gone(self):
         assert main(["selfcheck", "--force-fail"]) == 1
+
+    def test_module_entry_point_prints_the_five_groups(self):
+        # `python -m hypermatch`, warnings as errors, in a fresh interpreter.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hypermatch", "selfcheck"],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "multilinear-identities: PASS (form symmetry, lifting, constant shift)",
+            "block-bound-inequalities: PASS (block bounds at exact alpha)",
+            "tiny-scale-equivalence: PASS (diagonal equals free maximum)",
+            "lap-bruteforce: PASS (matches exhaustive optimum)",
+            "solver-monotonicity: PASS (strict ascent, finite termination)",
+        ]
 
 
 class TestUsage:

@@ -7,6 +7,7 @@ from hypermatch import (
     AssignmentVector,
     ExperimentSpec,
     MatchingShape,
+    SamplingConfig,
     accuracy,
     gen_instance,
     prepare_case,
@@ -96,6 +97,13 @@ class TestExperimentSpec:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown methods"):
             ExperimentSpec(n_in=5, methods=("bcagm", "rrwhm"))
+
+    def test_rejects_a_sampling_seed(self):
+        # prepare_case derives every trial's sampling seed from seed_base, so
+        # a seed given here would be silently ignored.
+        with pytest.raises(ValueError, match="seed_base"):
+            ExperimentSpec(n_in=5, sampling=SamplingConfig(seed=12345))
+        assert ExperimentSpec(n_in=5, sampling=SamplingConfig(knn=7)).sampling.knn == 7
 
     def test_rejects_invalid_grid(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from hypermatch import (
     f4_norm_exact,
 )
 from hypermatch import bcagm
-from hypermatch.tensor import unique_rows
+from hypermatch.tensor import DENSE_MATRIX_LIMIT, unique_rows
 from test_affinity import scene_instance
 
 
@@ -353,6 +353,14 @@ def test_contract_mat_bytes_equal_the_full_pass(t, data):
     assert t.contract_mat(x).tobytes() == expected
 
 
+@SETTINGS
+@given(t=random_tensors())
+def test_f4_norm_exact_equals_the_dense_lift(t):
+    f4 = oracles.lift_dense(oracles.dense_from_tensor(t))
+    expected = float(np.sqrt(np.sum(f4**2)))
+    assert f4_norm_exact(t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 class TestSupportAwareContraction:
     def matching_tensor(self, seed=0):
         shape = MatchingShape(4, 7)
@@ -643,6 +651,11 @@ class TestNormsAndBounds:
             for _ in range(5):
                 t = oracles.random_tensor(rng, shape, 15)
                 assert alpha_bound(t) >= 3.0 * f4_norm_exact(t)
+        # Built tensors at 10 into 10, 30 and 50 points: n = 100, 300, 500.
+        for n_out in (0, 20, 40):
+            t = build_tensor(*scene_instance(21, 10, n_out))
+            assert t.nnz
+            assert alpha_bound(t) >= 3.0 * f4_norm_exact(t) > 0.0
 
     def test_f4_norm_exact_values(self):
         assert f4_norm_exact(SparseSymmetricTensor3(MatchingShape(2, 3))) == 0.0
@@ -661,8 +674,15 @@ class TestNormsAndBounds:
             assert f4_norm_exact(t) <= 4.0 * np.sqrt(shape.n) * t.frobenius_norm() + 1e-12
 
     def test_f4_norm_threshold(self):
+        # No size limit of its own: at n = 45 it still equals the dense lift.
+        t = oracles.random_tensor(np.random.default_rng(26), MatchingShape(5, 9), 40)
+        f4 = oracles.lift_dense(oracles.dense_from_tensor(t))
+        assert f4_norm_exact(t) == pytest.approx(float(np.sqrt((f4**2).sum())), rel=1e-12)
+        # The only limit is contract_mat's dense n x n refusal.
+        shape = MatchingShape(50, 101)
+        assert shape.n > DENSE_MATRIX_LIMIT
         with pytest.raises(ThresholdExceeded):
-            f4_norm_exact(SparseSymmetricTensor3(MatchingShape(5, 9)))
+            f4_norm_exact(SparseSymmetricTensor3(shape, [[0, 1, 2]], [1.0]))
 
 
 class TestImplicitLiftAgainstDense:
