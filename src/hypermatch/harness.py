@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -22,7 +23,7 @@ from .affinity import AffinityParams, SamplingConfig, build_matrix2, build_tenso
 from .bcagm import TENSOR_METHODS, SolverConfig, TraceViolation, run_method
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
 from .qap import ipfp, mpm
-from .tensor import MatchingShape, SparseSymmetricTensor3
+from .tensor import SparseSymmetricTensor3
 
 __all__ = [
     "METHODS",
@@ -39,7 +40,17 @@ __all__ = [
 
 METHODS = (*TENSOR_METHODS, "ipfp2", "mpm2")
 
-CSV_HEADER = "method,trial,n_in,n_out,sigma,scale,accuracy,score3,iterations,wall_time_ms,status"
+
+def _check_protocol(n_in: int, n_outs, sigma: float, scale: float) -> None:
+    """The instance protocol's bounds, for a grid and for one instance alike."""
+    if n_in < 3:
+        raise ValueError("n_in must be at least 3")
+    if any(v < 0 for v in n_outs):
+        raise ValueError("n_out must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -64,16 +75,9 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_in < 3:
-            raise ValueError("n_in must be at least 3")
         n_out = (self.n_out,) if isinstance(self.n_out, int) else tuple(self.n_out)
         object.__setattr__(self, "n_out", n_out)
-        if any(v < 0 for v in n_out):
-            raise ValueError("n_out values must be nonnegative")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError("sigma must be finite and nonnegative")
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError("scale must be finite and positive")
+        _check_protocol(self.n_in, n_out, self.sigma, self.scale)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         methods = tuple(self.methods)
@@ -93,7 +97,7 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One benchmark row."""
+    """One benchmark row; its fields, in order, are the CSV columns."""
 
     method: str
     trial: int
@@ -108,6 +112,11 @@ class ResultRecord:
     status: str
 
 
+# Annotations are strings here (``from __future__ import annotations``).
+_COLUMNS = tuple((f.name, f.type == "float") for f in fields(ResultRecord))
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+
+
 @dataclass
 class TrialCase:
     """A generated instance together with its affinity tensor."""
@@ -116,10 +125,6 @@ class TrialCase:
     Q: np.ndarray
     gt: np.ndarray
     tensor: SparseSymmetricTensor3
-
-    @property
-    def shape(self) -> MatchingShape:
-        return self.tensor.shape
 
 
 def trial_seed(seed_base: int, n_out: int, trial: int) -> int:
@@ -142,14 +147,7 @@ def gen_instance(n_in: int, n_out: int, sigma: float, scale: float, seed: int):
     with ``n_out`` standard-normal outliers, everything multiplied by
     ``scale`` and randomly permuted.
     """
-    if n_in < 3:
-        raise ValueError("n_in must be at least 3")
-    if n_out < 0:
-        raise ValueError("n_out must be nonnegative")
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
-    if not 0.0 < scale < math.inf:
-        raise ValueError("scale must be finite and positive")
+    _check_protocol(n_in, (n_out,), sigma, scale)
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((n_in, 2))
     # A finite sigma or scale near the float limit can overflow a coordinate
@@ -186,7 +184,7 @@ def prepare_case(spec: ExperimentSpec, n_out: int, trial: int) -> TrialCase:
 
 def _run_method(method: str, case: TrialCase, matrix2, spec: ExperimentSpec):
     """Returns (assignment, iterations)."""
-    shape = case.shape
+    shape = case.tensor.shape
     if method in TENSOR_METHODS:
         sol = run_method(method, case.tensor, spec.alpha_schedule)
         return sol.assignment, sol.outer_iterations
@@ -211,24 +209,21 @@ def _run_trial(spec: ExperimentSpec, n_out: int, trial: int) -> list[ResultRecor
         started = time.perf_counter()
         try:
             assignment, iterations = _run_method(method, case, matrix2, spec)
+            status = "ok"
         except TraceViolation:
             raise  # ascent guarantees are load-bearing; abort the whole run
         except Exception as exc:  # noqa: BLE001 - recorded, not dropped
-            elapsed = 0.0 if spec.deterministic else (time.perf_counter() - started) * 1e3
-            records.append(
-                ResultRecord(
-                    method, trial, spec.n_in, n_out, spec.sigma, spec.scale,
-                    0.0, 0.0, 0, elapsed, f"error:{type(exc).__name__}",
-                )
-            )
-            continue
+            assignment, iterations, status = None, 0, f"error:{type(exc).__name__}"
         elapsed = 0.0 if spec.deterministic else (time.perf_counter() - started) * 1e3
+        if assignment is None:
+            acc = score3 = 0.0
+        else:
+            acc = accuracy(assignment, case.gt)
+            score3 = case.tensor.score(assignment.indicator())
         records.append(
             ResultRecord(
                 method, trial, spec.n_in, n_out, spec.sigma, spec.scale,
-                accuracy(assignment, case.gt),
-                case.tensor.score(assignment.indicator()),
-                iterations, elapsed, "ok",
+                acc, score3, iterations, elapsed, status,
             )
         )
     return records
@@ -239,14 +234,11 @@ def run_grid(spec: ExperimentSpec) -> list[ResultRecord]:
 
     Trials are independent; with ``threads > 1`` they run in a thread pool,
     which changes wall times but no recorded value, and the output order is
-    canonical regardless.
+    canonical regardless.  ``deterministic`` zeroes the wall times and
+    changes nothing else.
     """
     tasks = [(n_out, trial) for n_out in spec.n_out for trial in range(spec.trials)]
-    threads = 1 if spec.deterministic else spec.threads
-    if threads == 0:
-        import os
-
-        threads = os.cpu_count() or 1
+    threads = spec.threads or os.cpu_count() or 1
     if threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_task = list(pool.map(lambda t: _run_trial(spec, *t), tasks))
@@ -260,13 +252,17 @@ def _fmt(value: float) -> str:
 
 
 def records_to_csv(records: Iterable[ResultRecord]) -> str:
+    """The CSV text: ``CSV_HEADER``, then one line per record.
+
+    A field declared ``float`` carries 9 significant digits; every other
+    field is written with ``str``.
+    """
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for r in records:
-        out.write(
-            f"{r.method},{r.trial},{r.n_in},{r.n_out},{_fmt(r.sigma)},{_fmt(r.scale)},"
-            f"{_fmt(r.accuracy)},{_fmt(r.score3)},{r.iterations},{_fmt(r.wall_time_ms)},"
-            f"{r.status}\n"
+        cells = (
+            _fmt(getattr(r, name)) if is_float else str(getattr(r, name))
+            for name, is_float in _COLUMNS
         )
+        out.write(",".join(cells) + "\n")
     return out.getvalue()
-

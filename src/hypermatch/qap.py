@@ -173,7 +173,7 @@ def mpm(A, shape: MatchingShape, x0=None) -> MpmResult:
     return _power_iterate(pool, x0 / norm0, MPM_MAX_ITER, MPM_TOL)
 
 
-def psi_with_guard(A, x0: AssignmentVector, method: str = "ipfp") -> QapResult:
+def psi_with_guard(A, x0: AssignmentVector, method: str) -> QapResult:
     """Run a QAP subroutine and enforce monotonic ascent.
 
     :func:`ipfp` already returns the best of its start and every matching it

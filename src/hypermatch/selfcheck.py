@@ -28,7 +28,6 @@ __all__ = [
     "random_tensor",
     "random_matching",
     "all_assignments",
-    "indicator",
     "lap_brute",
 ]
 
@@ -55,12 +54,6 @@ def random_matching(rng, shape: MatchingShape) -> AssignmentVector:
 def all_assignments(shape: MatchingShape):
     """All one-to-one matchings as column tuples, in lexicographic order."""
     return list(itertools.permutations(range(shape.n2), shape.n1))
-
-
-def indicator(shape: MatchingShape, cols) -> np.ndarray:
-    x = np.zeros(shape.n)
-    x[np.arange(shape.n1) * shape.n2 + np.asarray(cols, dtype=np.intp)] = 1.0
-    return x
 
 
 def lap_brute(profit: np.ndarray):
@@ -127,7 +120,7 @@ def _check_equivalence() -> CheckResult:
     for _ in range(5):
         tensor = random_tensor(rng, shape, 10)
         op = LiftedOperator(tensor, 3.0 * f4_norm_exact(tensor))
-        points = [indicator(shape, cols) for cols in all_assignments(shape)]
+        points = [AssignmentVector(shape, cols).indicator() for cols in all_assignments(shape)]
         best_diag = max(op.score(x) for x in points)
         best_free = max(
             op.form(x, y, z, t)

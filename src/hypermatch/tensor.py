@@ -165,8 +165,6 @@ class SparseSymmetricTensor3:
         distinct indices has exactly six permuted copies.
         """
         x = _as_vector(x, self.shape.n, "x")
-        if not self.val.size:
-            return 0.0
         i, j, k = self.idx.T
         w = x[i]
         w *= x[j]
@@ -262,8 +260,6 @@ class SparseSymmetricTensor3:
 
     def frobenius_norm(self) -> float:
         """Frobenius norm of the full symmetric tensor: ``sqrt(6 * sum v^2)``."""
-        if not self.val.size:
-            return 0.0
         return float(np.sqrt(6.0 * np.dot(self.val, self.val)))
 
 

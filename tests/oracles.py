@@ -15,15 +15,24 @@ import itertools
 
 import numpy as np
 
-from hypermatch import LiftedOperator, MatchingShape, MpmResult, SparseSymmetricTensor3
+from hypermatch import (
+    AssignmentVector,
+    LiftedOperator,
+    MatchingShape,
+    MpmResult,
+    SparseSymmetricTensor3,
+)
 from hypermatch import affinity, qap
 from hypermatch.selfcheck import (  # noqa: F401 - re-exported to the tests
     all_assignments,
-    indicator,
     lap_brute,
     random_matching,
     random_tensor,
 )
+
+
+def indicator(shape: MatchingShape, cols) -> np.ndarray:
+    return AssignmentVector(shape, cols).indicator()
 
 
 class DegenerateTriangle(ValueError):

@@ -12,6 +12,7 @@ import oracles
 from hypermatch import (
     AffinityParams,
     SamplingConfig,
+    SparseSymmetricTensor3,
     affinity,
     build_matrix2,
     build_tensor,
@@ -157,12 +158,39 @@ class TestBuildTensor:
         np.testing.assert_array_equal(t1.idx, t2.idx)
         np.testing.assert_array_equal(t1.val, t2.val)
 
+    # Template triples are distinct, and so are each template row's kNN pool
+    # rows, so p * n2 + q (q < n2) gives every pair of a template triple and
+    # an ordered scene triple its own linear triple, already sorted since
+    # p0 < p1 < p2: the constructor has no row to merge.
+    @pytest.mark.parametrize(
+        "seed, n_in, n_out, cap",
+        [(1, 10, 30, None), (2, 3, 0, None), (3, 6, 6, None), (4, 6, 6, 50), (5, 10, 10, 300)],
+    )
+    def test_emits_no_duplicate_triple(self, monkeypatch, seed, n_in, n_out, cap):
+        if cap is not None:  # C(n2, 3) above the cap: the scene is sampled
+            monkeypatch.setattr(affinity, "Q_TRIPLE_CAP", cap)
+        emitted = []
+
+        def recording(shape, triples=None, values=None):
+            emitted.append(len(triples))
+            return SparseSymmetricTensor3(shape, triples, values)
+
+        monkeypatch.setattr(affinity, "SparseSymmetricTensor3", recording)
+        P, Q = scene_instance(seed, n_in, n_out)
+        t = build_tensor(P, Q, SamplingConfig(seed=seed))
+        assert t.nnz > 0
+        assert emitted == [t.nnz]
+
     def test_error_contracts(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="more points"):
             build_tensor(square, square[:3])
         with pytest.raises(ValueError, match="at least 3"):
             build_tensor(square[:2], square)
+        with pytest.raises(ValueError, match="knn"):
+            SamplingConfig(knn=0)
+        with pytest.raises(ValueError, match="sigma_s"):
+            AffinityParams(sigma_s=0)
 
     def test_collinear_template_yields_empty_tensor(self):
         line = np.column_stack([np.arange(5.0), np.zeros(5)])

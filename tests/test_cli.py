@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hypermatch import ExperimentSpec, harness, prepare_case, run_grid
+from hypermatch import ExperimentSpec, build_tensor, harness, prepare_case, run_grid
 from hypermatch import tensor as tensor_module
 from hypermatch.bcagm import TENSOR_METHODS, run_method
 from hypermatch.cli import main
@@ -56,6 +57,11 @@ class TestMatch:
         bad.write_text("{not json")
         assert main(["match", str(bad)]) == 1
         assert "JSON" in capsys.readouterr().err
+        bad.write_text(json.dumps([{"format_version": 1, "points_p": SQUARE}]))
+        assert main(["match", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "hypermatch: problem file: top level must be an object\n"
+        )
 
     def test_missing_field_named_in_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -147,6 +153,26 @@ class TestMatch:
         err = capsys.readouterr().err
         assert err.startswith("hypermatch: unknown")
         assert err.count("\n") == 1
+
+    # The flag, the file option, and the flag over the file option.
+    @pytest.mark.parametrize(
+        "options, flags, schedule",
+        [
+            ({}, ["--alpha-mode", "bound"], "bound_always"),
+            ({"alpha_mode": "zero"}, [], "zero_only"),
+            ({"alpha_mode": "zero"}, ["--alpha-mode", "bound"], "bound_always"),
+        ],
+    )
+    def test_alpha_mode_selects_the_schedule(self, tmp_path, capsys, options, flags, schedule):
+        problem = write_problem(tmp_path / "p.json", options=options)
+        assert main(["match", problem, *flags]) == 0
+        result = json.loads(capsys.readouterr().out)
+        points = np.array(SQUARE)
+        ref = run_method("bcagm", build_tensor(points, points), schedule)
+        assert result["assignment"] == ref.assignment.to_one_based()
+        assert result["trace"] == ref.trace.as_dict()
+        alphas = [phase["alpha"] for phase in result["trace"]["alpha_phases"]]
+        assert (alphas == [0.0]) == (schedule == "zero_only")
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         problem = write_problem(tmp_path / "p.json")
@@ -263,6 +289,26 @@ class TestSynth:
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_deterministic_threads_run_the_pool_with_the_same_bytes(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = [
+            "synth", "--n-in", "6", "--n-out", "0:4:2", "--trials", "2",
+            "--methods", "bcagm,hopm,ipfp2", "--deterministic",
+        ]
+        assert main(args + ["--threads", "1", "--output", str(out1)]) == 0
+        assert pools == []
+        assert main(args + ["--threads", "2", "--output", str(out2)]) == 0
+        assert pools == [2]
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_bad_flags_exit_1(self):
         assert main(["synth", "--n-in", "not-a-number"]) == 1
         assert main(["synth"]) == 1  # --n-in is required
@@ -271,7 +317,16 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--sigma", "nan"], ["--sigma", "inf"], ["--scale", "inf"], ["--methods", ","]],
+        [
+            ["--sigma", "nan"],
+            ["--sigma", "inf"],
+            ["--scale", "inf"],
+            ["--methods", ","],
+            ["--n-out", "1:2"],
+            ["--n-out", "a:b:c"],
+            ["--n-out", "x"],
+            ["--n-out", "-1"],
+        ],
     )
     def test_bad_grid_exits_1_with_one_line(self, capsys, flags):
         assert main(["synth", "--n-in", "4", *flags]) == 1

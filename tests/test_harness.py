@@ -112,6 +112,10 @@ class TestExperimentSpec:
             ExperimentSpec(n_in=5, trials=0)
         with pytest.raises(ValueError):
             ExperimentSpec(n_in=5, scale=0.0)
+        with pytest.raises(ValueError, match="n_out"):
+            ExperimentSpec(n_in=5, n_out=(0, -1))
+        with pytest.raises(ValueError, match="threads"):
+            ExperimentSpec(n_in=5, threads=-1)
         for sigma, scale in [(float("nan"), 1.0), (float("inf"), 1.0), (0.0, float("inf"))]:
             with pytest.raises(ValueError, match="finite"):
                 ExperimentSpec(n_in=5, sigma=sigma, scale=scale)
@@ -216,10 +220,11 @@ class TestRunGrid:
     def test_threaded_run_matches_sequential_values(self):
         base = dict(n_in=6, n_out=(0, 2), trials=2, methods=("bcagm",), deterministic=False)
         seq = run_grid(ExperimentSpec(**base, threads=1))
-        par = run_grid(ExperimentSpec(**base, threads=4))
-        assert [(r.method, r.trial, r.n_out, r.accuracy, r.score3, r.iterations) for r in seq] == [
-            (r.method, r.trial, r.n_out, r.accuracy, r.score3, r.iterations) for r in par
-        ]
+        for threads in (4, 0):  # 0 = one per core
+            par = run_grid(ExperimentSpec(**base, threads=threads))
+            assert [
+                (r.method, r.trial, r.n_out, r.accuracy, r.score3, r.iterations) for r in seq
+            ] == [(r.method, r.trial, r.n_out, r.accuracy, r.score3, r.iterations) for r in par]
 
 
 class TestCsvFormat:
@@ -231,6 +236,16 @@ class TestCsvFormat:
         )
         line = records_to_csv([rec]).splitlines()[1]
         assert line == "bcagm,0,10,0,0.123456789,1,1,123.456789,3,0,ok"
+        # A failed method's row, as _run_trial records it.
+        failed = ResultRecord("hopm", 1, 6, 2, 0.03, 1.5, 0.0, 0.0, 0, 0.0, "error:ValueError")
+        line = records_to_csv([failed]).splitlines()[1]
+        assert line == "hopm,1,6,2,0.03,1.5,0,0,0,0,error:ValueError"
+        # A library caller's numpy scalars format by the declared field type.
+        rec = ResultRecord(
+            "mpm2", np.int64(2), 10, np.int64(5), np.float32(0.1), 2.0, 0.5, 1e-12, 7, 12.5, "ok"
+        )
+        line = records_to_csv([rec]).splitlines()[1]
+        assert line == "mpm2,2,10,5,0.100000001,2,0.5,1e-12,7,12.5,ok"
 
     def test_emitted_numbers_roundtrip_at_declared_precision(self):
         spec = ExperimentSpec(

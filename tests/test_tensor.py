@@ -125,6 +125,8 @@ class TestConstruction:
             SparseSymmetricTensor3(shape, [[0, 1, 2.5]], [1.0])
         with pytest.raises(ValueError, match="integer"):
             SparseSymmetricTensor3(shape, np.array([[0.0, 1.0, 2.0]]), [1.0])
+        with pytest.raises(ValueError, match=r"\(m, 3\)"):
+            SparseSymmetricTensor3(shape, [[0, 1], [1, 2]], [1.0, 1.0])
         # No entry, no dtype to check: an empty float array is an empty tensor.
         assert SparseSymmetricTensor3(shape, np.empty((0, 3)), []).nnz == 0
 
@@ -134,6 +136,8 @@ class TestConstruction:
             SparseSymmetricTensor3(shape, [[0, 1, 2]], None)
         with pytest.raises(ValueError, match="together"):
             SparseSymmetricTensor3(shape, None, [1.0])
+        with pytest.raises(ValueError, match="number of triples"):
+            SparseSymmetricTensor3(shape, [[0, 1, 2]], [1.0, 2.0])
 
     @pytest.mark.parametrize(
         "make",
