@@ -80,17 +80,14 @@ class SolverConfig:
     alpha_schedule: str = "zero_then_bound"
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.subroutine not in SUBROUTINES:
-            raise ValueError(
-                f"subroutine must be one of {SUBROUTINES}, got {self.subroutine!r}"
-            )
-        if self.alpha_schedule not in ALPHA_SCHEDULES:
-            raise ValueError(
-                f"alpha_schedule must be one of {tuple(ALPHA_SCHEDULES)}, "
-                f"got {self.alpha_schedule!r}"
-            )
+        for name, allowed in (
+            ("variant", VARIANTS),
+            ("subroutine", SUBROUTINES),
+            ("alpha_schedule", tuple(ALPHA_SCHEDULES)),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass

@@ -19,7 +19,6 @@ from .affinity import AffinityParams, SamplingConfig, build_tensor
 from .bcagm import TENSOR_METHODS, TraceViolation, run_method
 from .harness import METHODS, ExperimentSpec, records_to_csv, run_grid
 from .selfcheck import run_selfcheck
-from .tensor import ThresholdExceeded
 
 __all__ = ["main"]
 
@@ -90,18 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(document: dict, key: str, kind, where: str):
+def _require(document: dict, key: str, kind):
     if key not in document:
-        raise CliError(f"{where}: missing required field '{key}'", EXIT_USAGE)
+        raise CliError(f"problem file: missing required field '{key}'", EXIT_USAGE)
     value = document[key]
     if kind is not None and not isinstance(value, kind):
-        raise CliError(f"{where}: field '{key}' has the wrong type", EXIT_USAGE)
+        raise CliError(f"problem file: field '{key}' has the wrong type", EXIT_USAGE)
     return value
 
 
-def _parse_points(raw, key: str, where: str) -> np.ndarray:
+def _parse_points(raw, key: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
-        raise CliError(f"{where}: field '{key}' must be a non-empty list", EXIT_USAGE)
+        raise CliError(f"problem file: field '{key}' must be a non-empty list", EXIT_USAGE)
     for i, entry in enumerate(raw):
         if (
             not isinstance(entry, list)
@@ -109,7 +108,7 @@ def _parse_points(raw, key: str, where: str) -> np.ndarray:
             or not all(type(c) in (int, float) for c in entry)  # not bool, an int subclass
         ):
             raise CliError(
-                f"{where}: field '{key}' entry {i} must be a pair of numbers", EXIT_USAGE
+                f"problem file: field '{key}' entry {i} must be a pair of numbers", EXIT_USAGE
             )
     # Through str, an integer beyond the float range reads as inf, as the
     # literal 1e400 does, and build_tensor rejects it as non-finite.
@@ -126,13 +125,13 @@ def _load_problem(path: str):
         raise CliError(f"problem file is not valid JSON: {exc}", EXIT_USAGE) from exc
     if not isinstance(document, dict):
         raise CliError("problem file: top level must be an object", EXIT_USAGE)
-    version = _require(document, "format_version", int, "problem file")
+    version = _require(document, "format_version", int)
     if type(version) is bool or version != FORMAT_VERSION:
         raise CliError(
             f"problem file: field 'format_version' must be {FORMAT_VERSION}", EXIT_USAGE
         )
-    P = _parse_points(_require(document, "points_p", list, "problem file"), "points_p", "problem file")
-    Q = _parse_points(_require(document, "points_q", list, "problem file"), "points_q", "problem file")
+    P = _parse_points(_require(document, "points_p", list), "points_p")
+    Q = _parse_points(_require(document, "points_q", list), "points_q")
     options = document.get("options", {})
     if not isinstance(options, dict):
         raise CliError("problem file: field 'options' must be an object", EXIT_USAGE)
@@ -175,15 +174,12 @@ def _cmd_match(args) -> int:
         raise CliError(
             f"unknown method {method!r}, expected one of {tuple(TENSOR_METHODS)}", EXIT_USAGE
         )
-    solver = {}
-    if "alpha_mode" in given:
-        alpha_mode = given["alpha_mode"]
-        if not isinstance(alpha_mode, str) or alpha_mode not in _ALPHA_MODES:
-            raise CliError(
-                f"unknown alpha mode {alpha_mode!r}, expected one of {sorted(_ALPHA_MODES)}",
-                EXIT_USAGE,
-            )
-        solver["alpha_schedule"] = _ALPHA_MODES[alpha_mode]
+    alpha_mode = given.get("alpha_mode", "zero-then-bound")
+    if not isinstance(alpha_mode, str) or alpha_mode not in _ALPHA_MODES:
+        raise CliError(
+            f"unknown alpha mode {alpha_mode!r}, expected one of {sorted(_ALPHA_MODES)}",
+            EXIT_USAGE,
+        )
     ints = _given(options, args, "triples_per_point", "knn", "seed")
     reals = _given(options, args, "gamma")
     for key, value in ints.items():
@@ -198,19 +194,13 @@ def _cmd_match(args) -> int:
     except (ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from exc
 
-    try:
-        tensor = build_tensor(P, Q, sampling, params)
-    except (ValueError, MemoryError) as exc:  # an option can ask for an unallocatable build
-        raise CliError(f"invalid problem: {exc}", EXIT_INVALID) from exc
+    tensor = build_tensor(P, Q, sampling, params)
     if tensor.nnz == 0:
         print(
             "hypermatch: warning: the affinity tensor is empty; the assignment is a guess",
             file=sys.stderr,
         )
-    try:
-        solution = run_method(method, tensor, **solver)
-    except ThresholdExceeded as exc:  # the two-block methods' dense Hessian
-        raise CliError(f"invalid problem: {exc}", EXIT_INVALID) from exc
+    solution = run_method(method, tensor, _ALPHA_MODES[alpha_mode])
 
     result = {
         "format_version": FORMAT_VERSION,
@@ -276,11 +266,7 @@ def _cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
-    try:
-        records = run_grid(spec)
-    except (ValueError, MemoryError) as exc:  # build_tensor's verdict on a generated instance
-        raise CliError(f"invalid problem: {exc}", EXIT_INVALID) from exc
-    _write_output(args.output, records_to_csv(records))
+    _write_output(args.output, records_to_csv(run_grid(spec)))
     return EXIT_OK
 
 
@@ -309,6 +295,11 @@ def main(argv=None) -> int:
     except TraceViolation as exc:
         print(f"hypermatch: solver anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
+    # Flag and file checks raise CliError, so what is left comes from the build
+    # or the solve: the problem is invalid or needs more memory than there is.
+    except (ValueError, MemoryError) as exc:
+        print(f"hypermatch: invalid problem: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

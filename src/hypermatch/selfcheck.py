@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bcagm import TENSOR_METHODS, TraceViolation, run_method
+from .bcagm import TENSOR_METHODS, TERMINATED_STALLED, TraceViolation, run_method
 from .lap import AssignmentVector, solve_lap_max
 from .tensor import (
     LiftedOperator,
@@ -159,7 +159,7 @@ def _check_monotonic() -> CheckResult:
                 sol = run_method(method, tensor)
             except TraceViolation as exc:
                 return CheckResult("solver-monotonicity", False, str(exc))
-            if sol.trace.terminated != "stalled":
+            if sol.trace.terminated != TERMINATED_STALLED:
                 return CheckResult(
                     "solver-monotonicity", False, f"terminated={sol.trace.terminated}"
                 )

@@ -189,6 +189,11 @@ class TestBuildTensor:
             build_tensor(square[:2], square)
         with pytest.raises(ValueError, match="knn"):
             SamplingConfig(knn=0)
+        with pytest.raises(ValueError, match="triples_per_point"):
+            SamplingConfig(triples_per_point=0)
+        for bad_p in (np.zeros((3, 3)), np.zeros((0, 2))):
+            with pytest.raises(ValueError, match=r"P must be an \(m, 2\) array"):
+                build_tensor(bad_p, square)
         with pytest.raises(ValueError, match="sigma_s"):
             AffinityParams(sigma_s=0)
 
@@ -214,7 +219,7 @@ def sampler_cases(draw):
     return draw(st.integers(0, 2**32 - 1)), m, count
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(case=sampler_cases(), stop=st.booleans())
 def test_sampler_equals_the_all_draws_loop(case, stop):
     seed, m, count = case

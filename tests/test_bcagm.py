@@ -170,7 +170,7 @@ class TestReturnedScores:
 
 
 class TestContractionMemo:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         t=random_tensors(),
         schedule=st.sampled_from(tuple(ALPHA_SCHEDULES)),

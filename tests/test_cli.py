@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from hypermatch import ExperimentSpec, build_tensor, harness, prepare_case, run_grid
+from hypermatch import bcagm as bcagm_module
+from hypermatch import selfcheck
 from hypermatch import tensor as tensor_module
 from hypermatch.bcagm import TENSOR_METHODS, run_method
 from hypermatch.cli import main
@@ -128,6 +131,28 @@ class TestMatch:
         captured = capsys.readouterr()
         assert captured.err.startswith("hypermatch: invalid problem: refusing to materialize")
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "solver, method", [("bcagm_solve", "bcagm"), ("bcagm_psi_solve", "bcagm_ipfp")]
+    )
+    @pytest.mark.parametrize(
+        "error",
+        [MemoryError("Unable to allocate 200. MiB"), ValueError("no feasible start")],
+        ids=["MemoryError", "ValueError"],
+    )
+    def test_solver_error_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, solver, method, error
+    ):
+        # any error the problem causes in the solve is an invalid problem, not a traceback
+        def failing_solver(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(bcagm_module, solver, failing_solver)
+        problem = write_problem(tmp_path / "p.json")
+        assert main(["match", problem, "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"hypermatch: invalid problem: {error}\n"
         assert captured.out == ""
 
     def test_missing_file_exits_1(self, tmp_path):
@@ -430,6 +455,21 @@ class TestSolverAnomaly:
         assert "anomaly" in capsys.readouterr().err
 
 
+# (group, what is broken, a part of the FAIL detail it must report)
+_GROUP_BREAKAGES = [
+    (selfcheck._check_identities, "noisy form", "permutation invariance"),
+    (selfcheck._check_identities, "shifted score", "lifting identity"),
+    (selfcheck._check_identities, "alpha-shifted score", "constant shift on matchings"),
+    (selfcheck._check_block_bounds, "zero alpha", "two-block form"),
+    (selfcheck._check_block_bounds, "inflated four-block form", "four-block form"),
+    (selfcheck._check_equivalence, "zero alpha", " vs "),
+    (selfcheck._check_lap, "minimising LAP", " != "),
+    (selfcheck._check_monotonic, "failing audit", "audit patched to fail"),
+    (selfcheck._check_monotonic, "one outer iteration", "terminated=max_outer_iters"),
+]
+_GROUP_BREAKAGE_IDS = [f"{group.__name__}-{breakage}" for group, breakage, _ in _GROUP_BREAKAGES]
+
+
 class TestSelfcheck:
     def test_passes_on_fresh_build(self, capsys):
         assert main(["selfcheck"]) == 0
@@ -439,14 +479,41 @@ class TestSelfcheck:
         assert all("PASS" in line for line in out.strip().splitlines())
 
     def test_forced_failure_exits_4(self, capsys, monkeypatch):
-        from hypermatch import selfcheck
-
         def failing():
             return selfcheck.CheckResult("injected", False, "always fails")
 
         monkeypatch.setattr(selfcheck, "GROUPS", (*selfcheck.GROUPS, failing))
         assert main(["selfcheck"]) == 4
         assert "injected: FAIL (always fails)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("group, breakage, detail", _GROUP_BREAKAGES, ids=_GROUP_BREAKAGE_IDS)
+    def test_each_group_can_fail(self, monkeypatch, group, breakage, detail):
+        # a check that has never been seen to fail proves nothing
+        op = tensor_module.LiftedOperator
+        form, score, lap = op.form, op.score, selfcheck.solve_lap_max
+        noise = itertools.count(1.0)  # a new offset on every call
+
+        def failing_verify(trace):
+            raise bcagm_module.TraceViolation("audit patched to fail")
+
+        patches = {
+            "noisy form": (op, "form", lambda self, *v: form(self, *v) + next(noise)),
+            "shifted score": (op, "score", lambda self, x: score(self, x) + 1.0),
+            "alpha-shifted score": (op, "score", lambda self, x: score(self, x) + self.alpha),
+            "zero alpha": (selfcheck, "f4_norm_exact", lambda tensor: 0.0),
+            "inflated four-block form": (
+                op,
+                "form",
+                lambda self, *v: form(self, *v) + 1e6 * (len(set(map(id, v))) == 4),
+            ),
+            "minimising LAP": (selfcheck, "solve_lap_max", lambda profit: lap(-profit)),
+            "failing audit": (bcagm_module.SolverTrace, "verify", failing_verify),
+            "one outer iteration": (bcagm_module, "MAX_OUTER_ITERS", 1),
+        }
+        monkeypatch.setattr(*patches[breakage])
+        result = group()
+        assert result.passed is False
+        assert detail in result.detail
 
     def test_force_fail_flag_is_gone(self):
         assert main(["selfcheck", "--force-fail"]) == 1

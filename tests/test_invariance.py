@@ -22,7 +22,7 @@ from hypermatch.bcagm import TENSOR_METHODS
 from hypermatch.cli import main
 from test_acceptance import ASCENT_METHODS
 
-SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=25)
 EMPTY_WARNING = "hypermatch: warning: the affinity tensor is empty; the assignment is a guess\n"
 
 # Exact maps of the plane: identity, quarter turn, half turn, reflection.
@@ -150,7 +150,7 @@ def any_problem_text(draw):
     return json.dumps(doc).replace("Infinity", "1e400")
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(text=any_problem_text())
 def test_match_exits_0_1_or_2_on_any_document(text):
     code, out, err = run_match(text)

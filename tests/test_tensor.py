@@ -267,7 +267,7 @@ class TestContractions:
         np.testing.assert_array_equal(t.contract_mat(x), t.contract_mat(x))
 
 
-SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=200)
 
 
 @st.composite
