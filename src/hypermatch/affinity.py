@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .tensor import MatchingShape, SparseSymmetricTensor3, unique_rows
+from .tensor import MatchingShape, SparseSymmetricTensor3, _check_number, unique_rows
 
 __all__ = [
     "SamplingConfig",
@@ -50,12 +50,9 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.triples_per_point < 1:
-            raise ValueError("triples_per_point must be at least 1")
-        if self.knn < 1:
-            raise ValueError("knn must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_number(self.triples_per_point, "triples_per_point", 1, count=True)
+        _check_number(self.knn, "knn", 1, count=True)
+        _check_number(self.seed, "seed", 0, count=True)
 
 
 @dataclass(frozen=True)
@@ -72,10 +69,9 @@ class AffinityParams:
     sigma_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.gamma is not None and not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError("gamma must be positive when given")
-        if not (np.isfinite(self.sigma_s) and self.sigma_s > 0.0):
-            raise ValueError("sigma_s must be positive")
+        if self.gamma is not None:
+            _check_number(self.gamma, "gamma", 0, strict=True)
+        _check_number(self.sigma_s, "sigma_s", 0, strict=True)
 
 
 def _as_points(points, name: str) -> np.ndarray:
@@ -85,6 +81,15 @@ def _as_points(points, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite coordinates")
     return arr
+
+
+def _point_sets(P, Q) -> tuple[np.ndarray, np.ndarray]:
+    """``P`` and ``Q`` as coordinate arrays; ``P`` may not have more points."""
+    P, Q = _as_points(P, "P"), _as_points(Q, "Q")
+    n1, n2 = len(P), len(Q)
+    if n1 > n2:
+        raise ValueError(f"P may not have more points than Q: |P| = {n1} exceeds |Q| = {n2}")
+    return P, Q
 
 
 def _sine_features(points: np.ndarray, triples: np.ndarray):
@@ -200,20 +205,17 @@ def build_tensor(
     """
     sc = sampling if sampling is not None else SamplingConfig()
     ap = params if params is not None else AffinityParams()
-    P = _as_points(P, "P")
-    Q = _as_points(Q, "Q")
+    P, Q = _point_sets(P, Q)
     n1, n2 = len(P), len(Q)
     if n1 < 3:
         raise ValueError("P needs at least 3 points to form a triangle")
-    if n1 > n2:
-        raise ValueError(f"P may not have more points than Q: |P| = {n1} exceeds |Q| = {n2}")
     shape = MatchingShape(n1, n2)
     rng = np.random.default_rng(sc.seed)
 
     # An enumerated scene draws nothing, so the template sampler may stop once
     # it has every triple; a sampled scene draws from the same stream after it.
     scene_enumerated = math.comb(n2, 3) <= Q_TRIPLE_CAP
-    p_triples = _sample_sorted_triples(rng, n1, sc.triples_per_point * n1, scene_enumerated)
+    p_triples = _sample_sorted_triples(rng, n1, int(sc.triples_per_point) * n1, scene_enumerated)
     p_feats, p_ok = _sine_features(P, p_triples)
     p_triples, p_feats = p_triples[p_ok], p_feats[p_ok]
 
@@ -255,11 +257,8 @@ def build_matrix2(P, Q, params: AffinityParams | None = None) -> np.ndarray:
     Used only to run the quadratic subroutines as standalone baselines.
     """
     ap = params if params is not None else AffinityParams()
-    P = _as_points(P, "P")
-    Q = _as_points(Q, "Q")
+    P, Q = _point_sets(P, Q)
     n1, n2 = len(P), len(Q)
-    if n1 > n2:
-        raise ValueError(f"P may not have more points than Q ({n1} > {n2})")
     dP = np.hypot(P[:, 0, None] - P[None, :, 0], P[:, 1, None] - P[None, :, 1])
     dQ = np.hypot(Q[:, 0, None] - Q[None, :, 0], Q[:, 1, None] - Q[None, :, 1])
     gap = dP[:, None, :, None] - dQ[None, :, None, :]

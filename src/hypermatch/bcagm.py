@@ -370,11 +370,13 @@ def run_method(
     tensor: SparseSymmetricTensor3,
     alpha_schedule: str = SolverConfig.alpha_schedule,
 ) -> Solution:
-    """Solve ``tensor`` by the method ``name``; ``hopm`` ignores ``alpha_schedule``."""
+    """Solve ``tensor`` by the method ``name``; ``hopm`` checks ``alpha_schedule`` only."""
+    if name not in TENSOR_METHODS:
+        raise ValueError(f"unknown method {name!r}, expected one of {tuple(TENSOR_METHODS)}")
     fields = TENSOR_METHODS[name]
+    cfg = SolverConfig(**(fields or {}), alpha_schedule=alpha_schedule)
     if fields is None:
         return hopm_baseline(tensor)
-    cfg = SolverConfig(**fields, alpha_schedule=alpha_schedule)
     if cfg.variant == "bcagm":
         return bcagm_solve(tensor, cfg)
     return bcagm_psi_solve(tensor, cfg)

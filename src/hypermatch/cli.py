@@ -170,28 +170,20 @@ def _cmd_match(args) -> int:
     P, Q, options = _load_problem(args.input)
     given = _given(options, args, "method", "alpha_mode")
     method = given.get("method", ExperimentSpec.methods[0])
-    if not isinstance(method, str) or method not in TENSOR_METHODS:
+    if method not in tuple(TENSOR_METHODS):  # by ==, so an unhashable value is refused too
         raise CliError(
             f"unknown method {method!r}, expected one of {tuple(TENSOR_METHODS)}", EXIT_USAGE
         )
     alpha_mode = given.get("alpha_mode", "zero-then-bound")
-    if not isinstance(alpha_mode, str) or alpha_mode not in _ALPHA_MODES:
+    if alpha_mode not in tuple(_ALPHA_MODES):
         raise CliError(
             f"unknown alpha mode {alpha_mode!r}, expected one of {sorted(_ALPHA_MODES)}",
             EXIT_USAGE,
         )
-    ints = _given(options, args, "triples_per_point", "knn", "seed")
-    reals = _given(options, args, "gamma")
-    for key, value in ints.items():
-        if type(value) is not int:  # not bool, an int subclass, nor a fraction
-            raise CliError(f"invalid option value: {key} must be an integer", EXIT_USAGE)
-    for key, value in reals.items():
-        if type(value) not in (int, float):
-            raise CliError(f"invalid option value: {key} must be a number", EXIT_USAGE)
     try:
-        sampling = SamplingConfig(**ints)
-        params = AffinityParams(**{k: float(v) for k, v in reals.items()})
-    except (ValueError, OverflowError) as exc:  # float(10**400) overflows
+        sampling = SamplingConfig(**_given(options, args, "triples_per_point", "knn", "seed"))
+        params = AffinityParams(**_given(options, args, "gamma"))
+    except ValueError as exc:
         raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from exc
 
     tensor = build_tensor(P, Q, sampling, params)

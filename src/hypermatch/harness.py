@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +23,7 @@ from .affinity import AffinityParams, SamplingConfig, build_matrix2, build_tenso
 from .bcagm import TENSOR_METHODS, SolverConfig, TraceViolation, run_method
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
 from .qap import ipfp, mpm
-from .tensor import SparseSymmetricTensor3
+from .tensor import SparseSymmetricTensor3, _check_number
 
 __all__ = [
     "METHODS",
@@ -43,14 +43,11 @@ METHODS = (*TENSOR_METHODS, "ipfp2", "mpm2")
 
 def _check_protocol(n_in: int, n_outs, sigma: float, scale: float) -> None:
     """The instance protocol's bounds, for a grid and for one instance alike."""
-    if n_in < 3:
-        raise ValueError("n_in must be at least 3")
-    if any(v < 0 for v in n_outs):
-        raise ValueError("n_out must be nonnegative")
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
-    if not 0.0 < scale < math.inf:
-        raise ValueError("scale must be finite and positive")
+    _check_number(n_in, "n_in", 3, count=True)
+    for n_out in n_outs:
+        _check_number(n_out, "n_out", 0, count=True)
+    _check_number(sigma, "sigma", 0)
+    _check_number(scale, "scale", 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -75,20 +72,21 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        n_out = (self.n_out,) if isinstance(self.n_out, int) else tuple(self.n_out)
+        # A single outlier count or method name stands for a one-entry grid.
+        n_out = (self.n_out,) if isinstance(self.n_out, numbers.Integral) else tuple(self.n_out)
         object.__setattr__(self, "n_out", n_out)
         _check_protocol(self.n_in, n_out, self.sigma, self.scale)
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        methods = tuple(self.methods)
+        _check_number(self.trials, "trials", 1, count=True)
+        _check_number(self.seed_base, "seed_base", count=True)
+        _check_number(self.threads, "threads", 0, count=True)
+        methods = (self.methods,) if isinstance(self.methods, str) else tuple(self.methods)
         object.__setattr__(self, "methods", methods)
         if not methods:
             raise ValueError("methods must not be empty")
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}, expected subset of {METHODS}")
-        if self.threads < 0:
-            raise ValueError("threads must be nonnegative (0 = auto)")
+        SolverConfig(alpha_schedule=self.alpha_schedule)  # the one schedule check
         if self.sampling.seed:
             raise ValueError(
                 "sampling.seed is derived per trial from seed_base; set seed_base instead"

@@ -10,7 +10,9 @@ kernels; the fourth-order tensor itself is never materialized.
 
 from __future__ import annotations
 
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +66,18 @@ def _as_vector(x, n: int, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
     return arr
+
+
+def _check_number(value, name: str, low=None, *, count: bool = False, strict: bool = False):
+    """Refuse setting ``name`` unless ``value`` is an integer (``count``) or a finite real,
+    at least ``low`` (above it if ``strict``).  A bool is refused, a NumPy number is not."""
+    kind, what = (numbers.Integral, "an integer") if count else (numbers.Real, "a finite number")
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    # Not math.isfinite, which raises OverflowError for an int beyond the float range.
+    ok = ok and (count or abs(value) <= sys.float_info.max)
+    if not ok or (low is not None and (value <= low if strict else value < low)):
+        bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be {what}{bound}")
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -191,6 +191,10 @@ class TestBuildTensor:
             SamplingConfig(knn=0)
         with pytest.raises(ValueError, match="triples_per_point"):
             SamplingConfig(triples_per_point=0)
+        # A NumPy count is multiplied as a Python int, so 2**62 * 4 draws do not
+        # wrap to zero in int64: they are refused as too many to allocate.
+        with pytest.raises(ValueError):
+            build_tensor(square, square, SamplingConfig(triples_per_point=np.int64(2**62)))
         for bad_p in (np.zeros((3, 3)), np.zeros((0, 2))):
             with pytest.raises(ValueError, match=r"P must be an \(m, 2\) array"):
                 build_tensor(bad_p, square)

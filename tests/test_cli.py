@@ -261,6 +261,14 @@ class TestMatch:
         assert main(["match", tuned, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_null_gamma_means_the_default(self, tmp_path):
+        plain = write_problem(tmp_path / "plain.json")
+        unset = write_problem(tmp_path / "unset.json", options={"gamma": None})
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(["match", plain, "--output", str(out1)]) == 0
+        assert main(["match", unset, "--output", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_empty_tensor_warns_but_succeeds(self, tmp_path, capsys):
         # every triangle is collinear, so no orbit is kept
         line = [[float(i), 2.0 * i] for i in range(4)]

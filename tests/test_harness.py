@@ -93,6 +93,8 @@ class TestExperimentSpec:
     def test_normalizes_scalar_n_out(self):
         spec = ExperimentSpec(n_in=5, n_out=3)
         assert spec.n_out == (3,)
+        # a single method name is a one-method grid, as a single n_out is
+        assert ExperimentSpec(n_in=5, methods="bcagm").methods == ("bcagm",)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown methods"):
