@@ -23,7 +23,7 @@ from .affinity import AffinityParams, SamplingConfig, build_matrix2, build_tenso
 from .bcagm import TENSOR_METHODS, SolverConfig, TraceViolation, run_method
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
 from .qap import ipfp, mpm
-from .tensor import SparseSymmetricTensor3, _check_number
+from .tensor import SparseSymmetricTensor3, _as_indices, _check_number
 
 __all__ = [
     "METHODS",
@@ -73,17 +73,17 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         # A single outlier count or method name stands for a one-entry grid.
-        n_out = (self.n_out,) if isinstance(self.n_out, numbers.Integral) else tuple(self.n_out)
-        object.__setattr__(self, "n_out", n_out)
-        _check_protocol(self.n_in, n_out, self.sigma, self.scale)
+        for name, single in (("n_out", numbers.Integral), ("methods", str)):
+            axis = getattr(self, name)
+            axis = (axis,) if isinstance(axis, single) else tuple(axis)
+            if not axis:
+                raise ValueError(f"{name} must not be empty")
+            object.__setattr__(self, name, axis)
+        _check_protocol(self.n_in, self.n_out, self.sigma, self.scale)
         _check_number(self.trials, "trials", 1, count=True)
         _check_number(self.seed_base, "seed_base", count=True)
         _check_number(self.threads, "threads", 0, count=True)
-        methods = (self.methods,) if isinstance(self.methods, str) else tuple(self.methods)
-        object.__setattr__(self, "methods", methods)
-        if not methods:
-            raise ValueError("methods must not be empty")
-        unknown = [m for m in methods if m not in METHODS]
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}, expected subset of {METHODS}")
         SolverConfig(alpha_schedule=self.alpha_schedule)  # the one schedule check
@@ -131,6 +131,7 @@ def trial_seed(seed_base: int, n_out: int, trial: int) -> int:
     Only the grid point and trial index enter the hash, so specs that differ
     in deformation or scale reuse the same instance stream.
     """
+    _check_number(seed_base, "seed_base", count=True)
     tag = f"{n_out}|{trial}".encode()
     digest = int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "big")
     return (int(seed_base) ^ digest) & (2**63 - 1)
@@ -146,6 +147,7 @@ def gen_instance(n_in: int, n_out: int, sigma: float, scale: float, seed: int):
     ``scale`` and randomly permuted.
     """
     _check_protocol(n_in, (n_out,), sigma, scale)
+    _check_number(seed, "seed", 0, count=True)
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((n_in, 2))
     # A finite sigma or scale near the float limit can overflow a coordinate
@@ -162,7 +164,7 @@ def gen_instance(n_in: int, n_out: int, sigma: float, scale: float, seed: int):
 
 def accuracy(assignment: AssignmentVector, gt) -> float:
     """Fraction of template points matched to their true scene position."""
-    gt = np.asarray(gt, dtype=np.intp)
+    gt = _as_indices(gt, "ground truth")
     if gt.shape != (assignment.shape.n1,):
         raise ValueError(
             f"ground truth must cover all {assignment.shape.n1} rows, got shape {gt.shape}"

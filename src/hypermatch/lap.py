@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .tensor import MatchingShape
+from .tensor import MatchingShape, _as_indices
 
 __all__ = ["AssignmentVector", "reshape_to_profit", "solve_lap_max"]
 
@@ -29,12 +29,13 @@ class AssignmentVector:
     cols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cols = tuple(int(c) for c in self.cols)
-        object.__setattr__(self, "cols", cols)
-        if len(cols) != self.shape.n1:
+        arr = _as_indices(self.cols, "cols")
+        if arr.shape != (self.shape.n1,):
             raise ValueError(
-                f"need one column per row: {self.shape.n1} rows, {len(cols)} columns given"
+                f"need one column per row: {self.shape.n1} rows, got shape {arr.shape}"
             )
+        cols = tuple(arr.tolist())
+        object.__setattr__(self, "cols", cols)
         if any(not 0 <= c < self.shape.n2 for c in cols):
             raise ValueError(f"column index outside [0, {self.shape.n2})")
         if len(set(cols)) != len(cols):

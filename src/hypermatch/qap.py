@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
-from .tensor import MatchingShape
+from .tensor import MatchingShape, _as_vector
 
 __all__ = ["QapResult", "MpmResult", "qap_objective", "ipfp", "mpm", "psi_with_guard"]
 
@@ -148,11 +148,9 @@ def mpm(A, shape: MatchingShape, x0=None) -> MpmResult:
     A = _check_qap(A, n)
     if x0 is None:
         x0 = np.ones(n)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (n,):
-        raise ValueError(f"start vector must have length {n}, got shape {x0.shape}")
-    if not np.all(np.isfinite(x0)) or np.any(x0 < 0.0):
-        raise ValueError("start vector must be finite and nonnegative")
+    x0 = _as_vector(x0, n, "start vector")
+    if np.any(x0 < 0.0):
+        raise ValueError("start vector must be nonnegative")
     norm0 = float(np.linalg.norm(x0))
     if norm0 == 0.0:
         raise ValueError("start vector must be nonzero")

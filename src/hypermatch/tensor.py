@@ -10,9 +10,8 @@ kernels; the fourth-order tensor itself is never materialized.
 
 from __future__ import annotations
 
+import math
 import numbers
-import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +48,10 @@ class MatchingShape:
     n2: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n1", operator.index(self.n1))
-        object.__setattr__(self, "n2", operator.index(self.n2))
-        if self.n1 < 1 or self.n2 < self.n1:
-            raise ValueError(f"need 1 <= n1 <= n2, got n1={self.n1}, n2={self.n2}")
+        _check_number(self.n1, "n1", 1, count=True)
+        _check_number(self.n2, "n2", self.n1, count=True)
+        object.__setattr__(self, "n1", int(self.n1))
+        object.__setattr__(self, "n2", int(self.n2))
 
     @property
     def n(self) -> int:
@@ -68,14 +67,26 @@ def _as_vector(x, n: int, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _as_indices(values, name: str) -> np.ndarray:
+    """``values`` as ``intp`` indices; a non-empty array of a non-integer dtype is refused."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer indices, got dtype {arr.dtype}")
+    return arr.astype(np.intp, copy=False)
+
+
 def _check_number(value, name: str, low=None, *, count: bool = False, strict: bool = False):
     """Refuse setting ``name`` unless ``value`` is an integer (``count``) or a finite real,
     at least ``low`` (above it if ``strict``).  A bool is refused, a NumPy number is not."""
-    kind, what = (numbers.Integral, "an integer") if count else (numbers.Real, "a finite number")
-    ok = isinstance(value, kind) and not isinstance(value, bool)
-    # Not math.isfinite, which raises OverflowError for an int beyond the float range.
-    ok = ok and (count or abs(value) <= sys.float_info.max)
+    kind = numbers.Integral if count else numbers.Real
+    # type() first: the ABC test alone costs more than a MatchingShape, made per LAP.
+    ok = type(value) is int or (isinstance(value, kind) and not isinstance(value, bool))
+    try:  # not abs(value) <= the float max, which NumPy compares in float32 for a float32
+        ok = ok and (count or math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        ok = False
     if not ok or (low is not None and (value <= low if strict else value < low)):
+        what = "an integer" if count else "a finite number"
         bound = "" if low is None else f" {'>' if strict else '>='} {low}"
         raise ValueError(f"{name} must be {what}{bound}")
 
@@ -136,13 +147,10 @@ class SparseSymmetricTensor3:
         elif triples is None or values is None:
             raise ValueError("triples and values must be given together")
         else:
-            idx = np.asarray(triples)
+            idx = _as_indices(triples, "triples")
             val = np.asarray(values, dtype=np.float64)
             if idx.ndim != 2 or idx.shape[1] != 3:
                 raise ValueError(f"triples must be (m, 3), got shape {idx.shape}")
-            if idx.size and idx.dtype.kind not in "iu":
-                raise ValueError(f"triples must be integer indices, got dtype {idx.dtype}")
-            idx = idx.astype(np.intp, copy=False)
             if val.shape != (idx.shape[0],):
                 raise ValueError("values must match the number of triples")
             if not np.all(np.isfinite(val)):
@@ -292,10 +300,8 @@ class LiftedOperator:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        a = float(self.alpha)
-        if not np.isfinite(a) or a < 0.0:
-            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
-        object.__setattr__(self, "alpha", a)
+        _check_number(self.alpha, "alpha", 0)
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
     def n(self) -> int:

@@ -258,6 +258,36 @@ def test_criterion_09_synthetic_protocol(synthetic_grid):
             "; ".join(failures[:4]) if failures else f"{elapsed:.0f}s, 240 records")
 
 
+NOISY_SPEC = ExperimentSpec(
+    n_in=10,
+    n_out=(10,),
+    sigma=0.03,
+    trials=GRID_SPEC.trials,  # as _mean expects
+    seed_base=2024,
+    methods=tuple(TENSOR_METHODS),
+    deterministic=True,
+)
+
+
+def test_criterion_12_noisy_cell():
+    # Criterion 09 draws at sigma 0; with noise hopm falls behind, so the
+    # paper's claim over hopm is checked where the methods differ.
+    records = run_grid(NOISY_SPEC)
+    failures = []
+    if any(r.status != "ok" for r in records):
+        failures.append("error rows present")
+    n_out = NOISY_SPEC.n_out[0]
+    hopm_score, hopm_acc = (_mean(records, "hopm", n_out, f) for f in ("score3", "accuracy"))
+    for method in ASCENT_METHODS:
+        score, acc = (_mean(records, method, n_out, f) for f in ("score3", "accuracy"))
+        if score <= hopm_score:
+            failures.append(f"{method} mean score {score:.1f} <= hopm {hopm_score:.1f}")
+        if acc < hopm_acc:
+            failures.append(f"{method} mean accuracy {acc:.3f} < hopm {hopm_acc:.3f}")
+    _report(12, "noisy cell", not failures,
+            "; ".join(failures[:4]) if failures else f"hopm {hopm_score:.1f}, {hopm_acc:.3f}")
+
+
 def test_criterion_10_scale_invariance():
     base = ExperimentSpec(
         n_in=10, n_out=(10,), sigma=0.03, scale=1.0, trials=20,

@@ -1,5 +1,5 @@
 """The public names: every entry of each ``__all__`` resolves, and the
-config types and ``run_method`` refuse a bad setting by name."""
+public types and functions refuse a bad setting by name."""
 
 import importlib
 import pkgutil
@@ -10,11 +10,16 @@ import pytest
 import hypermatch
 from hypermatch import (
     AffinityParams,
+    AssignmentVector,
     ExperimentSpec,
+    LiftedOperator,
     MatchingShape,
     SamplingConfig,
     SparseSymmetricTensor3,
+    accuracy,
+    gen_instance,
     run_method,
+    trial_seed,
 )
 
 MODULES = ["hypermatch"] + [
@@ -34,6 +39,7 @@ def test_every_exported_name_resolves(name):
 
 
 T3 = SparseSymmetricTensor3(MatchingShape(3, 3))
+SHAPE23 = MatchingShape(2, 3)
 
 
 @pytest.mark.parametrize(
@@ -58,6 +64,28 @@ T3 = SparseSymmetricTensor3(MatchingShape(3, 3))
         pytest.param(
             lambda: run_method("hopm", T3, "nope"), "alpha_schedule", id="hopm-unknown-schedule"
         ),
+        pytest.param(lambda: MatchingShape(True, 3), "n1", id="bool-n1"),
+        pytest.param(lambda: MatchingShape(2.5, 3), "n1", id="fractional-n1"),
+        pytest.param(lambda: LiftedOperator(T3, True), "alpha", id="bool-alpha"),
+        pytest.param(lambda: LiftedOperator(T3, "1.5"), "alpha", id="string-alpha"),
+        pytest.param(lambda: LiftedOperator(T3, 10**400), "alpha", id="huge-int-alpha"),
+        pytest.param(
+            lambda: AssignmentVector(SHAPE23, (0.7, 1.2)), "cols", id="fractional-cols"
+        ),
+        pytest.param(lambda: AssignmentVector(SHAPE23, ("1", 2)), "cols", id="string-cols"),
+        pytest.param(
+            lambda: accuracy(AssignmentVector(SHAPE23, (0, 1)), [0.5, 1.7]),
+            "ground truth",
+            id="fractional-ground-truth",
+        ),
+        pytest.param(
+            lambda: gen_instance(5, 0, 0.0, 1.0, seed=1.5), "seed", id="fractional-instance-seed"
+        ),
+        pytest.param(
+            lambda: gen_instance(5, 0, 0.0, 1.0, seed=True), "seed", id="bool-instance-seed"
+        ),
+        pytest.param(lambda: trial_seed(1.5, 0, 0), "seed_base", id="fractional-trial-seed"),
+        pytest.param(lambda: ExperimentSpec(n_in=4, n_out=()), "n_out", id="empty-n_out"),
         # Accepted: the check returns True.
         pytest.param(lambda: SamplingConfig(knn=np.int64(5)).knn == 5, None, id="numpy-knn"),
         pytest.param(
@@ -68,11 +96,30 @@ T3 = SparseSymmetricTensor3(MatchingShape(3, 3))
         pytest.param(
             lambda: ExperimentSpec(n_in=4, scale=1e308).scale == 1e308, None, id="huge-scale"
         ),
+        pytest.param(lambda: type(MatchingShape(np.int64(2), 3).n1) is int, None, id="numpy-n1"),
+        pytest.param(
+            lambda: AssignmentVector(SHAPE23, np.array([1, 2])).cols == (1, 2),
+            None,
+            id="numpy-cols",
+        ),
+        pytest.param(
+            lambda: LiftedOperator(T3, np.float32(2)).alpha == 2.0, None, id="float32-alpha"
+        ),
+        pytest.param(
+            lambda: AffinityParams(gamma=np.float32(2.0)).gamma == 2.0, None, id="float32-gamma"
+        ),
+        pytest.param(
+            lambda: ExperimentSpec(n_in=4, sigma=np.float32(0.03)).sigma > 0,
+            None,
+            id="float32-sigma",
+        ),
     ],
 )
+@pytest.mark.filterwarnings("error")  # a NumPy float of any width is accepted without a warning
 def test_each_setting_is_checked_by_its_owner(make, field):
-    # Every config type and run_method refuse a bad setting at once, with a
-    # ValueError that names it, rather than failing later inside a build or solve.
+    # Every public type and function refuses a bad setting at once, with a
+    # ValueError that names it, rather than truncating it or failing later
+    # inside a build or solve.
     if field is None:
         assert make()
         return

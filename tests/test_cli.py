@@ -159,9 +159,18 @@ class TestMatch:
         assert main(["match", str(tmp_path / "absent.json")]) == 1
 
     def test_boolean_format_version_exits_1(self, tmp_path, capsys):
-        problem = write_problem(tmp_path / "p.json", format_version=True)
-        assert main(["match", problem]) == 1
-        assert "format_version" in capsys.readouterr().err
+        # A field of the wrong type is refused by the field's one check.
+        for field, value in [
+            ("format_version", True),
+            ("format_version", "1"),
+            ("format_version", 1.0),
+            ("points_p", {}),
+        ]:
+            problem = write_problem(tmp_path / "p.json", **{field: value})
+            assert main(["match", problem]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"hypermatch: problem file: field '{field}' must be")
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "options",
@@ -359,6 +368,8 @@ class TestSynth:
             ["--n-out", "a:b:c"],
             ["--n-out", "x"],
             ["--n-out", "-1"],
+            ["--n-out", "5:1:1"],
+            ["--n-out", "0:4:0"],
         ],
     )
     def test_bad_grid_exits_1_with_one_line(self, capsys, flags):
