@@ -31,6 +31,10 @@ __all__ = [
 MIN_SIDE = 1e-9
 # Scene triple sets are enumerated exhaustively up to this many, sampled beyond.
 Q_TRIPLE_CAP = 200_000
+# From this many scene sets on, _knn searches a tree over the sets' sorted
+# features rather than one over all six vertex orders of each; the two routes
+# break even near 8 000 sets on one BLAS thread.
+_SORTED_TREE_MIN_SETS = 8_000
 
 
 @dataclass(frozen=True)
@@ -153,11 +157,9 @@ def _sample_sorted_triples(
 def _scene_triple_sets(rng: np.random.Generator, n2: int) -> np.ndarray:
     total = math.comb(n2, 3)
     if total <= Q_TRIPLE_CAP:
-        return np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n2), 3)),
-            dtype=np.intp,
-            count=3 * total,
-        ).reshape(total, 3)
+        # The strict a < b < c mask lists its nonzeros in lexicographic order.
+        a, b, c = np.ogrid[:n2, :n2, :n2]
+        return np.argwhere((a < b) & (b < c))
     draws = rng.integers(0, n2, size=(Q_TRIPLE_CAP, 3))
     distinct = (
         (draws[:, 0] != draws[:, 1])
@@ -174,19 +176,111 @@ def _scene_triple_sets(rng: np.random.Generator, n2: int) -> np.ndarray:
 _VERTEX_ORDERS = np.array(list(itertools.permutations(range(3))), dtype=np.intp)
 
 
+def _kd_tree(feat: np.ndarray) -> cKDTree:
+    """An exact kd-tree that splits at sliding midpoints, into leaves of up
+    to 64 rows, and does not shrink its nodes to their data: cheaper to
+    build than scipy's default median-split tree, and just as exact."""
+    return cKDTree(feat, leafsize=64, balanced_tree=False, compact_nodes=False)
+
+
 def _knn(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
     """Pool rows of the ``k`` features nearest to each template feature.
 
-    Exact kNN by kd-tree.  The tree splits at sliding midpoints, into leaves
-    of up to 64 rows, and does not shrink its nodes to their data: cheaper
-    to build than scipy's default median-split tree, and just as exact.
-    Each row is sorted by pool index, so gamma's mean is summed in a
-    canonical order that any exact kNN reproduces; a tie at the k-th
-    distance may fall to either pool row.
+    ``pool_feat`` row ``6 * s + o`` is scene set ``s`` in vertex order
+    ``_VERTEX_ORDERS[o]``.  Both routes are exact: below
+    ``_SORTED_TREE_MIN_SETS`` sets, one kd-tree over all pool rows; from
+    there on, one over the sets' sorted features, whose six orders are
+    ranked by the rearrangement inequality (``_knn_by_sorted_sets``).  Each
+    row is sorted by pool index, so gamma's mean is summed in a canonical
+    order that any exact kNN reproduces; a tie at the k-th distance may fall
+    to either pool row, and the two routes may break it differently.
     """
-    tree = cKDTree(pool_feat, leafsize=64, balanced_tree=False, compact_nodes=False)
-    _, sel = tree.query(p_feats, k)
+    if len(pool_feat) // 6 >= _SORTED_TREE_MIN_SETS:
+        sel = _knn_by_sorted_sets(pool_feat, p_feats, k)
+    else:
+        _, sel = _kd_tree(pool_feat).query(p_feats, k)
     return np.sort(np.asarray(sel, dtype=np.intp).reshape(len(p_feats), k), axis=1)
+
+
+def _order_codes(feat: np.ndarray) -> np.ndarray:
+    """Index in ``_VERTEX_ORDERS`` of each row's stable ascending argsort."""
+
+    def key(f):
+        return 4 * (f[:, 0] > f[:, 1]) + 2 * (f[:, 0] > f[:, 2]) + (f[:, 1] > f[:, 2])
+
+    # Row o of the ranks is a feature that _VERTEX_ORDERS[o] sorts.
+    code_of_key = np.zeros(8, dtype=np.intp)
+    code_of_key[key(np.argsort(_VERTEX_ORDERS, axis=1))] = range(6)
+    return code_of_key[key(feat)]
+
+
+def _knn_by_sorted_sets(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
+    """``_knn``'s rows, unsorted, from a kd-tree over the scene sets' sorted features.
+
+    By the rearrangement inequality, the vertex order that lines a set's
+    features up by rank with the template's is its nearest pool row, at
+    distance ``|sort(p) - sort(q)|``.  With template gaps ``a, b`` and set
+    gaps ``c, d`` between neighbouring sorted values, every other order is
+    farther by at least ``2 min(ac, bd)`` in squared distance.  So the k
+    nearest pool rows lie among the rows of the ``m = min(k, S)`` sets
+    nearest in sorted features.  A template whose bound clears the m-th
+    set's distance for all m sets keeps each set's rank-aligned row.  Any
+    other template takes the k nearest of its sets' six rows each, by the
+    build's own distance expression.
+    """
+    n_sets, n_tmpl = len(pool_feat) // 6, len(p_feats)
+    # Squared feature distances are at most 3; this slack is far above the
+    # ulps by which two summation orders of one distance can differ, so no
+    # comparison that rounding could decide is taken on the tree's distances.
+    slack = 1e-12
+    q_code = _order_codes(pool_feat[::6])  # order 0 is the identity
+    q_sorted = pool_feat[6 * np.arange(n_sets) + q_code]
+    p_code = _order_codes(p_feats)
+    p_sorted = np.sort(p_feats, axis=1)
+
+    m = min(k, n_sets)
+    tree = _kd_tree(q_sorted)
+    dist, sets = tree.query(p_sorted, m + (m < n_sets))
+    d2 = np.square(dist).reshape(n_tmpl, -1)
+    sets = np.asarray(sets, dtype=np.intp).reshape(n_tmpl, -1)
+    limit = d2[:, m - 1] + slack
+    # Where the (m + 1)-th set is as near as the m-th within the slack, which
+    # of them is nearer is for rounding to decide: every set that near is a
+    # candidate.
+    tied = d2[:, m] <= limit if m < n_sets else np.zeros(n_tmpl, dtype=bool)
+    d2, sets = d2[:, :m], sets[:, :m]
+
+    a, b = p_sorted[:, 1] - p_sorted[:, 0], p_sorted[:, 2] - p_sorted[:, 1]
+    c, d = (q_sorted[:, 1] - q_sorted[:, 0])[sets], (q_sorted[:, 2] - q_sorted[:, 1])[sets]
+    bound = 2 * np.minimum(a[:, None] * c, b[:, None] * d)
+    done = (k == m) & ~tied & np.all(d2 + bound > limit[:, None], axis=1)
+    sel = np.empty((n_tmpl, k), dtype=np.intp)
+    # aligned[x, y] pairs each template rank, placed by argsort order y, with
+    # the same set rank, placed by argsort order x.
+    perms = _VERTEX_ORDERS[:, np.argsort(_VERTEX_ORDERS, axis=1)]
+    aligned = 2 * perms[..., 0] + (perms[..., 1] > perms[..., 2])
+    # A done template has k == m; the slice only fits the empty case k > m.
+    sel[done, :m] = 6 * sets[done] + aligned[q_code[sets[done]], p_code[done, None]]
+    expand = ~done & ~tied
+    sel[expand] = _nearest_rows(pool_feat, p_feats[expand], sets[expand], k)
+    for t in np.flatnonzero(tied):
+        near = np.array(tree.query_ball_point(p_sorted[t], np.sqrt(limit[t])), dtype=np.intp)
+        sel[t] = _nearest_rows(pool_feat, p_feats[t : t + 1], near[None], k)
+    return sel
+
+
+def _nearest_rows(pool_feat: np.ndarray, p_feats: np.ndarray, sets: np.ndarray, k: int):
+    """The ``k`` pool rows nearest each template among the six of each of its
+    candidate ``sets``, by the build's ``((pool_feat[rows] - p_feats) ** 2).sum()``:
+    the same differences, squared and summed in the same order."""
+    q_cols = pool_feat[::6].T
+    sq = [[(q_cols[j][sets] - p_feats[:, i, None]) ** 2 for j in range(3)] for i in range(3)]
+    n_cand = sets.shape[1]
+    dist2 = np.empty((len(sets), 6, n_cand))
+    for o, (o0, o1, o2) in enumerate(_VERTEX_ORDERS.tolist()):
+        np.add(sq[0][o0] + sq[1][o1], sq[2][o2], out=dist2[:, o])
+    pick = np.argpartition(dist2.reshape(len(sets), 6 * n_cand), k - 1, axis=1)[:, :k]
+    return 6 * np.take_along_axis(sets, pick % n_cand, axis=1) + pick // n_cand
 
 
 def build_tensor(

@@ -1,5 +1,6 @@
 """Triangle-angle features and affinity construction."""
 
+import itertools
 import math
 import warnings
 
@@ -240,6 +241,15 @@ def test_sampler_equals_the_all_draws_loop(case, stop):
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n2", [3, 4, 5, 17, 50])
+def test_enumerated_scene_sets_are_the_lexicographic_combinations(n2):
+    want = np.array(list(itertools.combinations(range(n2), 3)), dtype=np.intp)
+    got = affinity._scene_triple_sets(np.random.default_rng(0), n2)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_sampler_stops_only_before_an_enumerated_scene(monkeypatch):
     # 10 scene points give C(10, 3) = 120 triple sets: enumerated at a cap
     # of 120, sampled from the template's stream at 119, where the template
@@ -292,23 +302,56 @@ def selected_dist2(pool_feat, p_feats, sel):
     return ((pool_feat[sel] - p_feats[:, None]) ** 2).sum(axis=2)
 
 
+# _SORTED_TREE_MIN_SETS values that force each kNN route: the tree over all
+# six vertex orders of every scene set, and the tree over the sets' sorted
+# features.
+KNN_ROUTES = {"pool-tree": math.inf, "sorted-sets": 0}
+
+
+def knn_on_each_route(monkeypatch, pool_feat, p_feats, k):
+    """``affinity._knn`` on the same arguments, once per route."""
+    found = {}
+    for route, min_sets in KNN_ROUTES.items():
+        monkeypatch.setattr(affinity, "_SORTED_TREE_MIN_SETS", min_sets)
+        found[route] = affinity._knn(pool_feat, p_feats, k)
+    return found
+
+
+def pool_of(q_feats):
+    """The build's pool: row ``6 * s + o`` is set ``s`` in vertex order ``o``."""
+    return np.take(q_feats, affinity._VERTEX_ORDERS, axis=1).reshape(-1, 3)
+
+
 class TestKnn:
-    """The kd-tree kNN against the brute-force scan it replaced (oracles.knn_brute)."""
+    """Both kNN routes against the brute-force scan (oracles.knn_brute).
+
+    ``_knn`` searches one kd-tree over all pool rows below
+    ``_SORTED_TREE_MIN_SETS`` scene sets, and a kd-tree over the sets' sorted
+    features from there on; each test forces each route in turn.  Without
+    ties both return the scan's rows; with ties, the scan's distances.
+    """
 
     @pytest.mark.parametrize(
         "seed, n_in, n_out, knn",
-        [(1, 10, 30, 300), (2, 10, 40, 300), (3, 10, 40, 7), (4, 10, 5, 7), (5, 3, 0, 300)],
+        [
+            (1, 10, 30, 300),
+            (2, 10, 40, 300),
+            (3, 10, 40, 7),
+            (4, 10, 5, 7),
+            (5, 3, 0, 300),
+            (6, 10, 30, 1),
+            (7, 10, 30, 7),
+        ],
     )
     def test_neighbour_sets_equal_the_scan(self, monkeypatch, seed, n_in, n_out, knn):
         calls = recorded_knn(monkeypatch)
         P, Q = scene_instance(seed, n_in, n_out)
         build_tensor(P, Q, SamplingConfig(knn=knn))
-        ((pool_feat, p_feats, k), sel), = calls
-        assert sel.shape == (len(p_feats), k)
-        np.testing.assert_array_equal(sel, np.sort(sel, axis=1))
+        ((pool_feat, p_feats, k), _), = calls
         brute = np.sort(oracles.knn_brute(pool_feat, p_feats, k), axis=1)
-        for row in range(len(sel)):
-            np.testing.assert_array_equal(sel[row], brute[row])
+        for route, sel in knn_on_each_route(monkeypatch, pool_feat, p_feats, k).items():
+            assert sel.shape == (len(p_feats), k), route
+            np.testing.assert_array_equal(sel, brute, err_msg=route)
 
     @pytest.mark.parametrize("knn", [1, 7, 40])
     def test_ties_on_a_grid_keep_the_distances(self, monkeypatch, knn):
@@ -318,12 +361,91 @@ class TestKnn:
         t2 = build_tensor(P, Q, SamplingConfig(knn=knn))
         assert t1.idx.tobytes() == t2.idx.tobytes()
         assert t1.val.tobytes() == t2.val.tobytes()
-        (pool_feat, p_feats, k), sel = calls[0]
+        (pool_feat, p_feats, k), _ = calls[0]
         brute = oracles.knn_brute(pool_feat, p_feats, k)
-        np.testing.assert_array_equal(
-            np.sort(selected_dist2(pool_feat, p_feats, sel), axis=1),
-            np.sort(selected_dist2(pool_feat, p_feats, brute), axis=1),
-        )
+        want = np.sort(selected_dist2(pool_feat, p_feats, brute), axis=1)
+        for route, sel in knn_on_each_route(monkeypatch, pool_feat, p_feats, k).items():
+            got = np.sort(selected_dist2(pool_feat, p_feats, sel), axis=1)
+            np.testing.assert_array_equal(got, want, err_msg=route)
+
+    # (template, set a, set b): the sets' nearest rows differ by an ulp in the
+    # build's squared distance, and a kd-tree over the sorted features, which
+    # sums in rank order and returns square roots, ranks them the other way
+    # (scipy 1.17).  Only the check of the (m + 1)-th set against the slack
+    # keeps the sorted-sets route on the build's nearest row there.
+    @pytest.mark.parametrize(
+        "p, a, b",
+        [
+            (
+                [0.06289549845497133, 0.7258808637757768, 0.08776788675948677],
+                [0.3950917083579676, 0.8735226311207321, 0.4723003367500115],
+                [0.3950917083579675, 0.8735226311207325, 0.47230033675001143],
+            ),
+            (
+                [0.22650039568236358, 0.7775441238817054, 0.17007850161486648],
+                [0.5771979489865907, 0.5358989295791143, 0.6719028034776905],
+                [0.5771979489865908, 0.5358989295791142, 0.6719028034776903],
+            ),
+        ],
+    )
+    def test_ulp_near_ties_follow_the_build_distance(self, monkeypatch, p, a, b):
+        p_feats = np.array([p])
+        for sets in ([a, b], [b, a]):
+            pool_feat = pool_of(np.array(sets))
+            brute = oracles.knn_brute(pool_feat, p_feats, 1)
+            for route, sel in knn_on_each_route(monkeypatch, pool_feat, p_feats, 1).items():
+                np.testing.assert_array_equal(sel, brute, err_msg=route)
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sets=st.integers(1, 300),
+        n_tmpl=st.integers(1, 8),
+        knn=st.integers(1, 1900),
+    )
+    def test_random_pools_equal_the_scan_on_both_routes(self, seed, n_sets, n_tmpl, knn):
+        # Uniform features tie with probability 0; knn past 6 * n_sets is
+        # clipped as build_tensor clips it, so k >= n_sets and k = every row
+        # both come up.
+        rng = np.random.default_rng(seed)
+        pool_feat = pool_of(rng.random((n_sets, 3)))
+        p_feats = rng.random((n_tmpl, 3))
+        k = min(knn, len(pool_feat))
+        brute = np.sort(oracles.knn_brute(pool_feat, p_feats, k), axis=1)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for route, sel in knn_on_each_route(monkeypatch, pool_feat, p_feats, k).items():
+                np.testing.assert_array_equal(sel, brute, err_msg=route)
+
+
+# Squared distances of features in [0, 1] are at most 3; a few ulps of that.
+GAP_BOUND_TOL = 8 * np.finfo(float).eps
+
+
+@settings(max_examples=300)
+@given(
+    q=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    p=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_rank_aligned_order_is_nearest_by_the_gap_bound(q, p):
+    """The sorted-sets route's premise, for a scene set ``q`` and a template
+    ``p`` (sines, so in [0, 1]): the vertex order that lines ``q`` up by rank
+    with ``p`` is the nearest of the six, and every other order is farther by
+    at least ``2 min(gap products)`` in squared distance, up to
+    ``GAP_BOUND_TOL``."""
+    q, p = np.array(q), np.array(p)
+    rows = q[affinity._VERTEX_ORDERS]
+    dist2 = ((rows - p) ** 2).sum(axis=1)
+    aligned_order = np.empty(3, dtype=np.intp)
+    aligned_order[np.argsort(p, kind="stable")] = np.argsort(q, kind="stable")
+    aligned = int(np.flatnonzero((affinity._VERTEX_ORDERS == aligned_order).all(axis=1))[0])
+    assert dist2[aligned] <= dist2.min() + GAP_BOUND_TOL
+    qs, ps = np.sort(q), np.sort(p)
+    gap_q, gap_p = np.diff(qs), np.diff(ps)
+    bound = 2 * min(gap_q[0] * gap_p[0], gap_q[1] * gap_p[1])
+    np.testing.assert_allclose(dist2[aligned], ((qs - ps) ** 2).sum(), rtol=0, atol=GAP_BOUND_TOL)
+    for order in range(6):
+        if order != aligned:
+            assert dist2[order] >= dist2[aligned] + bound - GAP_BOUND_TOL
 
 
 class TestGammaSummationOrder:
