@@ -183,11 +183,11 @@ def _kd_tree(feat: np.ndarray) -> cKDTree:
     return cKDTree(feat, leafsize=64, balanced_tree=False, compact_nodes=False)
 
 
-def _knn(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
+def _knn(q_feats: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
     """Pool rows of the ``k`` features nearest to each template feature.
 
-    ``pool_feat`` row ``6 * s + o`` is scene set ``s`` in vertex order
-    ``_VERTEX_ORDERS[o]``.  Both routes are exact: below
+    Pool row ``6 * s + o`` is scene set ``s`` (features ``q_feats[s]``) in
+    vertex order ``_VERTEX_ORDERS[o]``.  Both routes are exact: below
     ``_SORTED_TREE_MIN_SETS`` sets, one kd-tree over all pool rows; from
     there on, one over the sets' sorted features, whose six orders are
     ranked by the rearrangement inequality (``_knn_by_sorted_sets``).  Each
@@ -195,9 +195,11 @@ def _knn(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
     order that any exact kNN reproduces; a tie at the k-th distance may fall
     to either pool row, and the two routes may break it differently.
     """
-    if len(pool_feat) // 6 >= _SORTED_TREE_MIN_SETS:
-        sel = _knn_by_sorted_sets(pool_feat, p_feats, k)
+    if len(q_feats) >= _SORTED_TREE_MIN_SETS:
+        sel = _knn_by_sorted_sets(q_feats, p_feats, k)
     else:
+        # np.take returns a contiguous (sets, 6, 3) array, so reshape copies nothing.
+        pool_feat = np.take(q_feats, _VERTEX_ORDERS, axis=1).reshape(-1, 3)
         _, sel = _kd_tree(pool_feat).query(p_feats, k)
     return np.sort(np.asarray(sel, dtype=np.intp).reshape(len(p_feats), k), axis=1)
 
@@ -214,7 +216,7 @@ def _order_codes(feat: np.ndarray) -> np.ndarray:
     return code_of_key[key(feat)]
 
 
-def _knn_by_sorted_sets(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
+def _knn_by_sorted_sets(q_feats: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
     """``_knn``'s rows, unsorted, from a kd-tree over the scene sets' sorted features.
 
     By the rearrangement inequality, the vertex order that lines a set's
@@ -228,13 +230,13 @@ def _knn_by_sorted_sets(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> n
     other template takes the k nearest of its sets' six rows each, by the
     build's own distance expression.
     """
-    n_sets, n_tmpl = len(pool_feat) // 6, len(p_feats)
+    n_sets, n_tmpl = len(q_feats), len(p_feats)
     # Squared feature distances are at most 3; this slack is far above the
     # ulps by which two summation orders of one distance can differ, so no
     # comparison that rounding could decide is taken on the tree's distances.
     slack = 1e-12
-    q_code = _order_codes(pool_feat[::6])  # order 0 is the identity
-    q_sorted = pool_feat[6 * np.arange(n_sets) + q_code]
+    q_code = _order_codes(q_feats)
+    q_sorted = np.take_along_axis(q_feats, _VERTEX_ORDERS[q_code], axis=1)
     p_code = _order_codes(p_feats)
     p_sorted = np.sort(p_feats, axis=1)
 
@@ -262,18 +264,18 @@ def _knn_by_sorted_sets(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> n
     # A done template has k == m; the slice only fits the empty case k > m.
     sel[done, :m] = 6 * sets[done] + aligned[q_code[sets[done]], p_code[done, None]]
     expand = ~done & ~tied
-    sel[expand] = _nearest_rows(pool_feat, p_feats[expand], sets[expand], k)
+    sel[expand] = _nearest_rows(q_feats, p_feats[expand], sets[expand], k)
     for t in np.flatnonzero(tied):
         near = np.array(tree.query_ball_point(p_sorted[t], np.sqrt(limit[t])), dtype=np.intp)
-        sel[t] = _nearest_rows(pool_feat, p_feats[t : t + 1], near[None], k)
+        sel[t] = _nearest_rows(q_feats, p_feats[t : t + 1], near[None], k)
     return sel
 
 
-def _nearest_rows(pool_feat: np.ndarray, p_feats: np.ndarray, sets: np.ndarray, k: int):
+def _nearest_rows(q_feats: np.ndarray, p_feats: np.ndarray, sets: np.ndarray, k: int):
     """The ``k`` pool rows nearest each template among the six of each of its
-    candidate ``sets``, by the build's ``((pool_feat[rows] - p_feats) ** 2).sum()``:
-    the same differences, squared and summed in the same order."""
-    q_cols = pool_feat[::6].T
+    candidate ``sets``, by the build's distance: the same differences,
+    squared and added in the same order."""
+    q_cols = q_feats.T
     sq = [[(q_cols[j][sets] - p_feats[:, i, None]) ** 2 for j in range(3)] for i in range(3)]
     n_cand = sets.shape[1]
     dist2 = np.empty((len(sets), 6, n_cand))
@@ -281,6 +283,21 @@ def _nearest_rows(pool_feat: np.ndarray, p_feats: np.ndarray, sets: np.ndarray, 
         np.add(sq[0][o0] + sq[1][o1], sq[2][o2], out=dist2[:, o])
     pick = np.argpartition(dist2.reshape(len(sets), 6 * n_cand), k - 1, axis=1)[:, :k]
     return 6 * np.take_along_axis(sets, pick % n_cand, axis=1) + pick // n_cand
+
+
+def _kept_rows(q_sets: np.ndarray, q_feats: np.ndarray, p_feats: np.ndarray, sel: np.ndarray):
+    """Scene vertices and squared feature distances of ``_knn``'s pool rows
+    ``sel``, flattened template by template.  The distances are recomputed
+    rather than taken from the kd-tree, so every entry is the same expression
+    (squared coordinate differences, added in coordinate order) whatever
+    finds the neighbours."""
+    sets, orders = np.divmod(sel, 6)
+    # Flat positions in q_sets and q_feats of each kept set's vertices, in its order.
+    at = 3 * sets[..., None] + _VERTEX_ORDERS[orders]
+    dist2 = np.zeros(sel.shape)
+    for j in range(3):
+        dist2 += (q_feats.ravel()[at[..., j]] - p_feats[:, j, None]) ** 2
+    return q_sets.ravel()[at].reshape(-1, 3), dist2.reshape(-1)
 
 
 def build_tensor(
@@ -320,17 +337,10 @@ def build_tensor(
     if not len(p_triples) or not len(q_sets):
         return SparseSymmetricTensor3(shape)
 
-    # Pool row 6 * s + o is scene set s in vertex order o.
-    # np.take returns a contiguous (sets, 6, 3) array, so reshape copies nothing.
-    pool_feat = np.take(q_feats, _VERTEX_ORDERS, axis=1).reshape(-1, 3)
-    k = min(sc.knn, len(pool_feat))
-
-    sel = _knn(pool_feat, p_feats, k)
+    k = min(sc.knn, 6 * len(q_feats))
+    sel = _knn(q_feats, p_feats, k)
     p_rows = np.repeat(p_triples, k, axis=0)
-    q_rows = np.take_along_axis(q_sets[sel // 6], _VERTEX_ORDERS[sel % 6], axis=2).reshape(-1, 3)
-    # Recomputed here rather than taken from the kd-tree, so every entry is
-    # the same expression on the same operands whatever finds the neighbours.
-    dist2 = ((pool_feat[sel] - p_feats[:, None]) ** 2).sum(axis=2).reshape(-1)
+    q_rows, dist2 = _kept_rows(q_sets, q_feats, p_feats, sel)
 
     if ap.gamma is not None:
         gamma = float(ap.gamma)

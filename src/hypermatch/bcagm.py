@@ -66,7 +66,7 @@ class TraceViolation(RuntimeError):
     """A solver trace failed the guaranteed-ascent audit."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Parameters of the block-coordinate solvers.
 

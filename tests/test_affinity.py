@@ -289,9 +289,9 @@ def recorded_knn(monkeypatch):
     calls = []
     knn = affinity._knn
 
-    def record(pool_feat, p_feats, k):
-        sel = knn(pool_feat, p_feats, k)
-        calls.append(((pool_feat, p_feats, k), sel))
+    def record(q_feats, p_feats, k):
+        sel = knn(q_feats, p_feats, k)
+        calls.append(((q_feats, p_feats, k), sel))
         return sel
 
     monkeypatch.setattr(affinity, "_knn", record)
@@ -308,18 +308,24 @@ def selected_dist2(pool_feat, p_feats, sel):
 KNN_ROUTES = {"pool-tree": math.inf, "sorted-sets": 0}
 
 
-def knn_on_each_route(monkeypatch, pool_feat, p_feats, k):
+def knn_on_each_route(monkeypatch, q_feats, p_feats, k):
     """``affinity._knn`` on the same arguments, once per route."""
     found = {}
     for route, min_sets in KNN_ROUTES.items():
         monkeypatch.setattr(affinity, "_SORTED_TREE_MIN_SETS", min_sets)
-        found[route] = affinity._knn(pool_feat, p_feats, k)
+        found[route] = affinity._knn(q_feats, p_feats, k)
     return found
 
 
 def pool_of(q_feats):
-    """The build's pool: row ``6 * s + o`` is set ``s`` in vertex order ``o``."""
+    """The pool that ``_knn``'s codes index: row ``6 * s + o`` is set ``s``
+    in vertex order ``o``."""
     return np.take(q_feats, affinity._VERTEX_ORDERS, axis=1).reshape(-1, 3)
+
+
+def knn_brute_over_sets(q_feats, p_feats, k):
+    """``oracles.knn_brute`` with ``_knn``'s arguments: scene features, not the pool."""
+    return oracles.knn_brute(pool_of(q_feats), p_feats, k)
 
 
 class TestKnn:
@@ -347,9 +353,9 @@ class TestKnn:
         calls = recorded_knn(monkeypatch)
         P, Q = scene_instance(seed, n_in, n_out)
         build_tensor(P, Q, SamplingConfig(knn=knn))
-        ((pool_feat, p_feats, k), _), = calls
-        brute = np.sort(oracles.knn_brute(pool_feat, p_feats, k), axis=1)
-        for route, sel in knn_on_each_route(monkeypatch, pool_feat, p_feats, k).items():
+        ((q_feats, p_feats, k), _), = calls
+        brute = np.sort(knn_brute_over_sets(q_feats, p_feats, k), axis=1)
+        for route, sel in knn_on_each_route(monkeypatch, q_feats, p_feats, k).items():
             assert sel.shape == (len(p_feats), k), route
             np.testing.assert_array_equal(sel, brute, err_msg=route)
 
@@ -361,10 +367,11 @@ class TestKnn:
         t2 = build_tensor(P, Q, SamplingConfig(knn=knn))
         assert t1.idx.tobytes() == t2.idx.tobytes()
         assert t1.val.tobytes() == t2.val.tobytes()
-        (pool_feat, p_feats, k), _ = calls[0]
+        (q_feats, p_feats, k), _ = calls[0]
+        pool_feat = pool_of(q_feats)
         brute = oracles.knn_brute(pool_feat, p_feats, k)
         want = np.sort(selected_dist2(pool_feat, p_feats, brute), axis=1)
-        for route, sel in knn_on_each_route(monkeypatch, pool_feat, p_feats, k).items():
+        for route, sel in knn_on_each_route(monkeypatch, q_feats, p_feats, k).items():
             got = np.sort(selected_dist2(pool_feat, p_feats, sel), axis=1)
             np.testing.assert_array_equal(got, want, err_msg=route)
 
@@ -391,9 +398,9 @@ class TestKnn:
     def test_ulp_near_ties_follow_the_build_distance(self, monkeypatch, p, a, b):
         p_feats = np.array([p])
         for sets in ([a, b], [b, a]):
-            pool_feat = pool_of(np.array(sets))
-            brute = oracles.knn_brute(pool_feat, p_feats, 1)
-            for route, sel in knn_on_each_route(monkeypatch, pool_feat, p_feats, 1).items():
+            q_feats = np.array(sets)
+            brute = knn_brute_over_sets(q_feats, p_feats, 1)
+            for route, sel in knn_on_each_route(monkeypatch, q_feats, p_feats, 1).items():
                 np.testing.assert_array_equal(sel, brute, err_msg=route)
 
     @settings(max_examples=60)
@@ -408,12 +415,12 @@ class TestKnn:
         # clipped as build_tensor clips it, so k >= n_sets and k = every row
         # both come up.
         rng = np.random.default_rng(seed)
-        pool_feat = pool_of(rng.random((n_sets, 3)))
+        q_feats = rng.random((n_sets, 3))
         p_feats = rng.random((n_tmpl, 3))
-        k = min(knn, len(pool_feat))
-        brute = np.sort(oracles.knn_brute(pool_feat, p_feats, k), axis=1)
+        k = min(knn, 6 * n_sets)
+        brute = np.sort(knn_brute_over_sets(q_feats, p_feats, k), axis=1)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            for route, sel in knn_on_each_route(monkeypatch, pool_feat, p_feats, k).items():
+            for route, sel in knn_on_each_route(monkeypatch, q_feats, p_feats, k).items():
                 np.testing.assert_array_equal(sel, brute, err_msg=route)
 
 
@@ -460,7 +467,7 @@ class TestGammaSummationOrder:
     def test_within_ulps_of_the_scan_order(self, monkeypatch, seed, n_in, n_out):
         P, Q = scene_instance(seed, n_in, n_out)
         tree = build_tensor(P, Q)
-        monkeypatch.setattr(affinity, "_knn", oracles.knn_brute)
+        monkeypatch.setattr(affinity, "_knn", knn_brute_over_sets)
         scan = build_tensor(P, Q)
         assert tree.idx.tobytes() == scan.idx.tobytes()
         np.testing.assert_allclose(tree.val, scan.val, rtol=1e-14, atol=0.0)
@@ -473,7 +480,7 @@ class TestGammaSummationOrder:
         P, Q = scene_instance(15, 8, 12)
         params = AffinityParams(gamma=3.0)
         tree = build_tensor(P, Q, params=params)
-        monkeypatch.setattr(affinity, "_knn", oracles.knn_brute)
+        monkeypatch.setattr(affinity, "_knn", knn_brute_over_sets)
         scan = build_tensor(P, Q, params=params)
         assert tree.idx.tobytes() == scan.idx.tobytes()
         assert tree.val.tobytes() == scan.val.tobytes()

@@ -1,5 +1,7 @@
 """Block-coordinate ascent drivers: ascent guarantees, termination, merges."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,14 @@ class TestConfig:
             SolverConfig(subroutine="sm")
         with pytest.raises(ValueError, match="alpha_schedule"):
             SolverConfig(alpha_schedule="adaptive")
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SolverConfig)])
+    def test_fields_cannot_be_reassigned(self, field):
+        # Assignment would skip __post_init__'s check of the new value.
+        cfg = SolverConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, "bogus")
+        assert cfg == SolverConfig()
 
 
 class TestTraceAudit:

@@ -2,7 +2,9 @@
 
 Scaling by a power of two, a quarter turn and a reflection are exact in
 floating point, so they must leave the tensor's bytes unchanged.  Decimal
-scales are not exact; there the assignment must still be the unit-scale one.
+scales, translations and a relabelled scene are not exact (the features are
+computed from other differences, in another order); there the assignment
+must still be the original one, and ``score3`` equal up to rounding.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermatch import build_tensor, gen_instance
+from hypermatch import build_tensor, gen_instance, run_method
 from hypermatch.bcagm import TENSOR_METHODS
 from hypermatch.cli import main
 from test_acceptance import ASCENT_METHODS
@@ -67,6 +69,53 @@ def test_exact_similarities_keep_the_tensor_bytes(seed, n1, extra, kp, kq, map_p
     moved = build_tensor(np.ldexp(map_p(P), kp), np.ldexp(map_q(Q), kq))
     assert moved.idx.tobytes() == ref.idx.tobytes()
     assert moved.val.tobytes() == ref.val.tobytes()
+
+
+# Relative score3 gap allowed between a problem and its relabelled or
+# translated copy: rounding of the features, far below any change of matching.
+SCORE3_RTOL = 1e-12
+
+
+def solved(P, Q) -> dict:
+    """Every tensor method's solution on one build of ``P`` into ``Q``."""
+    tensor = build_tensor(P, Q)
+    return {method: run_method(method, tensor) for method in TENSOR_METHODS}
+
+
+noisy_instances = st.builds(
+    gen_instance,
+    n_in=st.integers(4, 8),
+    n_out=st.integers(0, 12),
+    sigma=st.just(0.03),
+    scale=st.just(1.0),
+    seed=st.integers(0, 2**16),
+)
+
+
+@SETTINGS
+@given(instance=noisy_instances, perm_seed=st.integers(0, 2**16))
+def test_relabelling_the_scene_relabels_the_assignment(instance, perm_seed):
+    P, Q, _ = instance
+    perm = np.random.default_rng(perm_seed).permutation(len(Q))
+    new_label = np.argsort(perm)  # Q[j] is Q[perm][new_label[j]]
+    ref, moved = solved(P, Q), solved(P, Q[perm])
+    for method in TENSOR_METHODS:
+        relabelled = new_label[list(ref[method].assignment.cols)].tolist()
+        assert list(moved[method].assignment.cols) == relabelled, method
+        assert moved[method].score3 == pytest.approx(ref[method].score3, rel=SCORE3_RTOL, abs=0)
+
+
+offsets = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+
+
+@SETTINGS
+@given(instance=noisy_instances, shift_p=offsets, shift_q=offsets)
+def test_translations_keep_the_assignment(instance, shift_p, shift_q):
+    P, Q, _ = instance
+    ref, moved = solved(P, Q), solved(P + shift_p, Q + shift_q)
+    for method in TENSOR_METHODS:
+        assert moved[method].assignment.cols == ref[method].assignment.cols, method
+        assert moved[method].score3 == pytest.approx(ref[method].score3, rel=SCORE3_RTOL, abs=0)
 
 
 def points(n: int):
