@@ -365,14 +365,19 @@ TENSOR_METHODS = {
 }
 
 
+def _check_method(name) -> None:
+    """Refuse a ``name`` not in ``TENSOR_METHODS``, by ``==``, so an unhashable one too."""
+    if name not in tuple(TENSOR_METHODS):
+        raise ValueError(f"unknown method {name!r}, expected one of {tuple(TENSOR_METHODS)}")
+
+
 def run_method(
     name: str,
     tensor: SparseSymmetricTensor3,
     alpha_schedule: str = SolverConfig.alpha_schedule,
 ) -> Solution:
     """Solve ``tensor`` by the method ``name``; ``hopm`` checks ``alpha_schedule`` only."""
-    if name not in TENSOR_METHODS:
-        raise ValueError(f"unknown method {name!r}, expected one of {tuple(TENSOR_METHODS)}")
+    _check_method(name)
     fields = TENSOR_METHODS[name]
     cfg = SolverConfig(**(fields or {}), alpha_schedule=alpha_schedule)
     if fields is None:

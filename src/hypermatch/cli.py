@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .affinity import AffinityParams, SamplingConfig, build_tensor
-from .bcagm import TENSOR_METHODS, TraceViolation, run_method
+from .bcagm import TENSOR_METHODS, TraceViolation, _check_method, run_method
 from .harness import METHODS, ExperimentSpec, records_to_csv, run_grid
 from .selfcheck import run_selfcheck
 
@@ -53,9 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     match.add_argument(
         "--method", choices=tuple(TENSOR_METHODS), help="override the file's method"
     )
-    match.add_argument("--alpha-mode", choices=sorted(_ALPHA_MODES), dest="alpha_mode")
-    match.add_argument("--triples-per-point", type=int, dest="triples_per_point")
-    match.add_argument("--knn", type=int)
     match.add_argument("--seed", type=int)
     match.set_defaults(func=_cmd_match)
 
@@ -63,26 +60,26 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--n-in", type=int, required=True, dest="n_in")
     synth.add_argument(
         "--n-out",
-        default="0",
         dest="n_out",
         help="outlier count, either an integer or an inclusive range start:stop:step",
     )
-    synth.add_argument("--sigma", type=float, default=0.0)
-    synth.add_argument("--scale", type=float, default=1.0)
-    synth.add_argument("--trials", type=int, default=1)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--sigma", type=float)
+    synth.add_argument("--scale", type=float)
+    synth.add_argument("--trials", type=int)
+    synth.add_argument("--seed", type=int, dest="seed_base", metavar="SEED")
     synth.add_argument(
         "--methods",
         help=f"comma-separated subset of {','.join(METHODS)}",
     )
-    synth.add_argument("--alpha-mode", choices=sorted(_ALPHA_MODES), dest="alpha_mode")
-    synth.add_argument("--triples-per-point", type=int, dest="triples_per_point")
-    synth.add_argument("--knn", type=int)
     synth.add_argument("--sigma-s", type=float, dest="sigma_s")
-    synth.add_argument("--threads", type=int, default=1, help="0 = auto")
+    synth.add_argument("--threads", type=int, help="0 = auto")
     synth.add_argument("--deterministic", action="store_true")
     synth.add_argument("--output", help="CSV file (default: stdout)")
     synth.set_defaults(func=_cmd_synth)
+    for command in (match, synth):  # the flags both take
+        command.add_argument("--alpha-mode", choices=sorted(_ALPHA_MODES), dest="alpha_mode")
+        command.add_argument("--triples-per-point", type=int, dest="triples_per_point")
+        command.add_argument("--knn", type=int)
 
     check = sub.add_parser("selfcheck", help="run the fast invariant suite")
     check.set_defaults(func=_cmd_selfcheck)
@@ -167,16 +164,19 @@ def _cmd_match(args) -> int:
     P, Q, options = _load_problem(args.input)
     given = _given(options, args, "method", "alpha_mode")
     method = given.get("method", ExperimentSpec.methods[0])
-    if method not in tuple(TENSOR_METHODS):  # by ==, so an unhashable value is refused too
-        raise CliError(
-            f"unknown method {method!r}, expected one of {tuple(TENSOR_METHODS)}", EXIT_USAGE
-        )
-    alpha_mode = given.get("alpha_mode", "zero-then-bound")
-    if alpha_mode not in tuple(_ALPHA_MODES):
-        raise CliError(
-            f"unknown alpha mode {alpha_mode!r}, expected one of {sorted(_ALPHA_MODES)}",
-            EXIT_USAGE,
-        )
+    try:
+        _check_method(method)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
+    schedule = {}
+    if "alpha_mode" in given:
+        alpha_mode = given["alpha_mode"]
+        if alpha_mode not in tuple(_ALPHA_MODES):  # by ==, so an unhashable value is refused too
+            raise CliError(
+                f"unknown alpha mode {alpha_mode!r}, expected one of {sorted(_ALPHA_MODES)}",
+                EXIT_USAGE,
+            )
+        schedule["alpha_schedule"] = _ALPHA_MODES[alpha_mode]
     try:
         sampling = SamplingConfig(**_given(options, args, "triples_per_point", "knn", "seed"))
         params = AffinityParams(**_given(options, args, "gamma"))
@@ -189,7 +189,7 @@ def _cmd_match(args) -> int:
             "hypermatch: warning: the affinity tensor is empty; the assignment is a guess",
             file=sys.stderr,
         )
-    solution = run_method(method, tensor, _ALPHA_MODES[alpha_mode])
+    solution = run_method(method, tensor, **schedule)
 
     result = {
         "format_version": FORMAT_VERSION,
@@ -228,7 +228,9 @@ def _parse_n_out(raw: str) -> tuple[int, ...]:
 
 
 def _cmd_synth(args) -> int:
-    chosen = {}
+    chosen = _given({}, args, "sigma", "scale", "trials", "seed_base", "threads")
+    if args.n_out is not None:
+        chosen["n_out"] = _parse_n_out(args.n_out)
     if args.methods is not None:
         chosen["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if args.alpha_mode is not None:
@@ -236,15 +238,9 @@ def _cmd_synth(args) -> int:
     try:
         spec = ExperimentSpec(
             n_in=args.n_in,
-            n_out=_parse_n_out(args.n_out),
-            sigma=args.sigma,
-            scale=args.scale,
-            trials=args.trials,
-            seed_base=args.seed,
             sampling=SamplingConfig(**_given({}, args, "triples_per_point", "knn")),
             affinity=AffinityParams(**_given({}, args, "sigma_s")),
             deterministic=args.deterministic,
-            threads=args.threads,
             **chosen,
         )
     except ValueError as exc:

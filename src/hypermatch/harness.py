@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -72,10 +71,10 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        # A single outlier count or method name stands for a one-entry grid.
-        for name, single in (("n_out", numbers.Integral), ("methods", str)):
+        # A single value stands for a one-entry grid; the field's check below judges it.
+        for name in ("n_out", "methods"):
             axis = getattr(self, name)
-            axis = (axis,) if isinstance(axis, single) else tuple(axis)
+            axis = tuple(axis) if np.iterable(axis) and not isinstance(axis, str) else (axis,)
             if not axis:
                 raise ValueError(f"{name} must not be empty")
             object.__setattr__(self, name, axis)

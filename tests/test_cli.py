@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import inspect
 import itertools
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from hypermatch import ExperimentSpec, build_tensor, harness, prepare_case, run_grid
 from hypermatch import bcagm as bcagm_module
-from hypermatch import selfcheck
+from hypermatch import cli, selfcheck
 from hypermatch import tensor as tensor_module
 from hypermatch.bcagm import TENSOR_METHODS, run_method
 from hypermatch.cli import main
@@ -434,6 +435,53 @@ class TestSharedParser:
         usage, error = capsys.readouterr().err.splitlines()
         assert usage.startswith("usage: hypermatch")
         assert error == "hypermatch: error: unrecognized arguments: --deterministic"
+
+
+class TestUnsetFlagsStayUnset:
+    # A flag the user leaves out reaches no config type, so each default has
+    # one owner: the type's own field.
+    def test_synth_hands_the_spec_only_the_flags_given(self, tmp_path, monkeypatch):
+        specs = []
+
+        def recording_spec(**kwargs):
+            specs.append(kwargs)
+            return ExperimentSpec(**kwargs)
+
+        monkeypatch.setattr(cli, "ExperimentSpec", recording_spec)
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["synth", "--n-in", "4", "--deterministic", "--output", str(out1)]) == 0
+        defaults = ["--n-out", "0", "--sigma", "0", "--scale", "1", "--trials", "1",
+                    "--seed", "0", "--threads", "1"]
+        assert main(["synth", "--n-in", "4", "--deterministic", *defaults,
+                     "--output", str(out2)]) == 0
+        unset, spelled_out = specs
+        assert not unset.keys() & {"n_out", "sigma", "scale", "trials", "seed_base", "threads"}
+        assert spelled_out["seed_base"] == 0 and spelled_out["n_out"] == (0,)
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_match_hands_run_method_a_schedule_only_when_set(self, tmp_path, monkeypatch):
+        schedules = []
+
+        def recording_run_method(*args, **kwargs):
+            bound = inspect.signature(run_method).bind(*args, **kwargs)
+            schedules.append(bound.arguments.get("alpha_schedule"))
+            return run_method(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_method", recording_run_method)
+        problem = write_problem(tmp_path / "p.json")
+        out = str(tmp_path / "r.json")
+        assert main(["match", problem, "--output", out]) == 0
+        assert main(["match", problem, "--alpha-mode", "bound", "--output", out]) == 0
+        zero = write_problem(tmp_path / "z.json", options={"alpha_mode": "zero"})
+        assert main(["match", zero, "--output", out]) == 0
+        assert schedules == [None, "bound_always", "zero_only"]
+
+    def test_an_unknown_file_method_exits_1_before_the_build(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_tensor", None)  # a call would raise TypeError
+        problem = write_problem(tmp_path / "p.json", options={"method": "rrwhm"})
+        assert main(["match", problem]) == 1
+        expected = f"unknown method 'rrwhm', expected one of {tuple(TENSOR_METHODS)}"
+        assert capsys.readouterr().err == f"hypermatch: {expected}\n"
 
 
 class TestMethodRegistry:

@@ -100,6 +100,20 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="unknown methods"):
             ExperimentSpec(n_in=5, methods=("bcagm", "rrwhm"))
 
+    @pytest.mark.parametrize(
+        "axis, value, message",
+        [
+            ("n_out", 5.0, "n_out must be an integer"),
+            ("n_out", None, "n_out must be an integer"),
+            ("methods", 5, "unknown methods"),
+            ("methods", None, "unknown methods"),
+        ],
+    )
+    def test_a_scalar_axis_meets_the_fields_own_check(self, axis, value, message):
+        # A value that is not iterable is a grid of one, not a bare TypeError.
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(n_in=10, **{axis: value})
+
     def test_rejects_a_sampling_seed(self):
         # prepare_case derives every trial's sampling seed from seed_base, so
         # a seed given here would be silently ignored.
