@@ -97,10 +97,11 @@ def _point_sets(P, Q) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sine_features(points: np.ndarray, triples: np.ndarray):
-    """Sines of the interior angles at the three vertices, in triple order.
+    """The measurable rows of ``triples`` and the sines of their interior
+    angles at the three vertices, in triple order.
 
-    Returns ``(features, valid)``; rows flagged invalid are degenerate, hold
-    arbitrary values and must be skipped by the caller.
+    Returns ``(triples, features)`` without the degenerate rows: those with
+    a side shorter than ``MIN_SIDE`` or no area.
     """
     # A power-of-two rescale is exact and commutes with every step below; it
     # brings the half-extent into [0.5, 1), where no product overflows.  Only a
@@ -125,7 +126,7 @@ def _sine_features(points: np.ndarray, triples: np.ndarray):
     valid = (
         (d_ab >= MIN_SIDE) & (d_ac >= MIN_SIDE) & (d_bc >= MIN_SIDE) & (area2 != 0.0)
     )
-    return feats, valid
+    return triples[valid], feats[valid]
 
 
 def _sample_sorted_triples(
@@ -150,7 +151,6 @@ def _sample_sorted_triples(
             if len(seen) == total:
                 draws = draws[: row + 1]
                 break
-    draws.sort(axis=1)
     return unique_rows(draws)[0]
 
 
@@ -160,15 +160,10 @@ def _scene_triple_sets(rng: np.random.Generator, n2: int) -> np.ndarray:
         # The strict a < b < c mask lists its nonzeros in lexicographic order.
         a, b, c = np.ogrid[:n2, :n2, :n2]
         return np.argwhere((a < b) & (b < c))
-    draws = rng.integers(0, n2, size=(Q_TRIPLE_CAP, 3))
-    distinct = (
-        (draws[:, 0] != draws[:, 1])
-        & (draws[:, 0] != draws[:, 2])
-        & (draws[:, 1] != draws[:, 2])
-    )
-    draws = draws[distinct].astype(np.intp)
-    draws.sort(axis=1)
-    return unique_rows(draws)[0]
+    draws = rng.integers(0, n2, size=(Q_TRIPLE_CAP, 3)).astype(np.intp, copy=False)
+    sets = unique_rows(draws)[0]
+    # A sorted row with a repeated vertex repeats it in neighbouring columns.
+    return sets[(sets[:, 0] != sets[:, 1]) & (sets[:, 1] != sets[:, 2])]
 
 
 # Vertex orders in which each scene triple set is offered for alignment; any
@@ -327,12 +322,8 @@ def build_tensor(
     # it has every triple; a sampled scene draws from the same stream after it.
     scene_enumerated = math.comb(n2, 3) <= Q_TRIPLE_CAP
     p_triples = _sample_sorted_triples(rng, n1, int(sc.triples_per_point) * n1, scene_enumerated)
-    p_feats, p_ok = _sine_features(P, p_triples)
-    p_triples, p_feats = p_triples[p_ok], p_feats[p_ok]
-
-    q_sets = _scene_triple_sets(rng, n2)
-    q_feats, q_ok = _sine_features(Q, q_sets)
-    q_sets, q_feats = q_sets[q_ok], q_feats[q_ok]
+    p_triples, p_feats = _sine_features(P, p_triples)
+    q_sets, q_feats = _sine_features(Q, _scene_triple_sets(rng, n2))
 
     if not len(p_triples) or not len(q_sets):
         return SparseSymmetricTensor3(shape)

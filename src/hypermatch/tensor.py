@@ -92,14 +92,16 @@ def _check_number(value, name: str, low=None, *, count: bool = False, strict: bo
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a nonnegative (N, 3) index array in lexicographic
-    order, and for each input row the position of its distinct row.
+    """The distinct rows of a nonnegative (N, 3) index array, each sorted
+    ascending, in lexicographic order, and for each input row the position
+    of its distinct row.
 
     Rows are ranked by one sort of the key ``(r0*m + r1)*m + r2`` with
     ``m = rows.max() + 1``, which orders them as ``np.lexsort`` does; when
     ``m**3`` would overflow int64, by ``np.lexsort`` itself.  The distinct
     rows are a Fortran-ordered array, so each of its columns is contiguous.
     """
+    rows = np.sort(rows, axis=1)
     m = int(rows.max(initial=0)) + 1
     first = np.ones(len(rows), dtype=bool)
     if m <= 2**21:  # the largest key is m**3 - 1 <= 2**63 - 1
@@ -128,13 +130,14 @@ class SparseSymmetricTensor3:
     """Nonnegative symmetric third-order tensor in canonical-orbit storage.
 
     Each stored orbit ``(i, j, k, v)`` with ``i < j < k`` represents the six
-    permuted entries of value ``v``.  Triples are canonicalized at ingest
-    (sorted ascending), triples with a repeated index are rejected, and
-    duplicate triples are summed.  Triples must have an integer dtype, and
-    ``triples`` and ``values`` are given together or not at all.  ``idx`` is
-    Fortran-ordered, so each index column is contiguous.  Instances are
-    immutable and safe to share across threads; all contractions run in the
-    fixed stored-orbit order, so repeated evaluations are bit-identical.
+    permuted entries of value ``v``.  At ingest, :func:`unique_rows` sorts
+    each triple ascending and merges duplicates, whose values are summed; a
+    distinct triple with a repeated index is rejected.  Triples must have an
+    integer dtype, and ``triples`` and ``values`` are given together or not
+    at all.  ``idx`` is Fortran-ordered, so each index column is contiguous.
+    Instances are immutable and safe to share across threads; all
+    contractions run in the fixed stored-orbit order, so repeated
+    evaluations are bit-identical.
     """
 
     __slots__ = ("shape", "idx", "val")
@@ -160,10 +163,9 @@ class SparseSymmetricTensor3:
             if idx.size:
                 if int(idx.min()) < 0 or int(idx.max()) >= n:
                     raise ValueError(f"triple index outside [0, {n})")
-                idx = np.sort(idx, axis=1)
+                idx, inverse = unique_rows(idx)
                 if np.any(idx[:, 0] == idx[:, 1]) or np.any(idx[:, 1] == idx[:, 2]):
                     raise ValueError("triples with a repeated index are not allowed")
-                idx, inverse = unique_rows(idx)
                 # bincount adds the weights in input order, so duplicates sum
                 # as they come.
                 val = np.bincount(inverse, weights=val, minlength=idx.shape[0])
@@ -248,10 +250,10 @@ class SparseSymmetricTensor3:
     def contract_mat(self, x) -> np.ndarray:
         """Contract one mode: returns the symmetric matrix ``(k, l) -> sum_i T_ikl x_i``.
 
-        An orbit with no index in ``supp(x)`` sends only exact zeros.  When
-        the support is not all of ``n``, as for a matching, only the other
-        orbits are visited, in stored order; each of the six weight streams
-        keeps its order, so ``bincount`` gives the same bytes as a full pass.
+        An orbit with no index in ``supp(x)`` sends only exact zeros, so only
+        the other orbits are visited, in stored order; each of the six weight
+        streams keeps its order, so ``bincount`` gives the same bytes as a
+        full pass.
         """
         n = self.shape.n
         if n > DENSE_MATRIX_LIMIT:
@@ -262,9 +264,8 @@ class SparseSymmetricTensor3:
         i, j, k = self.idx.T
         val = self.val
         inside = x != 0.0
-        if not inside.all():
-            keep = np.flatnonzero(inside[i] | inside[j] | inside[k])
-            i, j, k, val = i[keep], j[keep], k[keep], val[keep]
+        keep = np.flatnonzero(inside[i] | inside[j] | inside[k])
+        i, j, k, val = i[keep], j[keep], k[keep], val[keep]
         if not val.size:
             return np.zeros((n, n))
         # Six streams: orbit index c sends val * x_c to (a, b) and to (b, a).

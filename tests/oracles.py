@@ -52,8 +52,8 @@ def triangle_feature(points, triple) -> np.ndarray:
         raise ValueError("triple must have three distinct indices")
     if tri.min() < 0 or tri.max() >= len(pts):
         raise ValueError(f"triple index outside [0, {len(pts)})")
-    feats, valid = affinity._sine_features(pts, tri)
-    if not valid[0]:
+    kept, feats = affinity._sine_features(pts, tri)
+    if not len(kept):
         raise DegenerateTriangle(f"triple {tuple(tri[0])} is degenerate")
     return feats[0]
 

@@ -60,6 +60,25 @@ class TestTriangleFeature:
         with pytest.raises(DegenerateTriangle):
             triangle_feature(close, (0, 1, 2))
 
+    def test_sine_features_keep_exactly_the_measurable_rows(self):
+        # A collinear run, a repeated point and a side far below MIN_SIDE
+        # after the rescale, offered in every vertex order.
+        pts = np.array(
+            [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1e-12, 1.0], [1.0, 0.0], [0.3, 0.7]]
+        )
+        triples = np.array(list(itertools.permutations(range(len(pts)), 3)), dtype=np.intp)
+        kept, feats = affinity._sine_features(pts, triples)
+        want_rows, want_feats = [], []
+        for row in triples.tolist():
+            try:
+                want_feats.append(triangle_feature(pts, row))
+            except DegenerateTriangle:
+                continue
+            want_rows.append(row)
+        assert 0 < len(want_rows) < len(triples)
+        assert kept.tolist() == want_rows
+        assert feats.tobytes() == np.array(want_feats).tobytes()
+
     def test_huge_scales_keep_the_unit_features(self):
         unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         f = triangle_feature(unit, (0, 1, 2))
@@ -248,6 +267,37 @@ def test_enumerated_scene_sets_are_the_lexicographic_combinations(n2):
     assert got.dtype == want.dtype
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def scene_sets_by_the_raw_draw_mask(rng, n2, cap):
+    """The sampled scene sets, one rule at a time: a mask that drops the raw
+    draws with a repeated vertex, a row sort, then ``np.unique``."""
+    draws = rng.integers(0, n2, size=(cap, 3))
+    distinct = (
+        (draws[:, 0] != draws[:, 1])
+        & (draws[:, 0] != draws[:, 2])
+        & (draws[:, 1] != draws[:, 2])
+    )
+    draws = draws[distinct].astype(np.intp)
+    draws.sort(axis=1)
+    return np.unique(draws, axis=0)
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n2=st.integers(4, 40), data=st.data())
+def test_sampled_scene_sets_equal_the_raw_draw_mask(seed, n2, data):
+    # Below C(n2, 3) the scene is sampled; small caps leave few distinct sets.
+    cap = data.draw(st.integers(1, min(500, math.comb(n2, 3) - 1)))
+    want_rng = np.random.default_rng(seed)
+    want = scene_sets_by_the_raw_draw_mask(want_rng, n2, cap)
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(affinity, "Q_TRIPLE_CAP", cap)
+        got = affinity._scene_triple_sets(rng, n2)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_sampler_stops_only_before_an_enumerated_scene(monkeypatch):

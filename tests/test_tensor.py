@@ -77,7 +77,7 @@ class TestConstruction:
         rows = rng.choice([0, 1, m // 2, m - 2, m - 1], size=(600, 3))
         rows[0] = m - 1
         got, inverse = unique_rows(rows)
-        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        want, want_inverse = np.unique(np.sort(rows, axis=1), axis=0, return_inverse=True)
         assert got.tobytes() == want.tobytes()
         assert inverse.tobytes() == want_inverse.reshape(-1).astype(np.intp).tobytes()
 
@@ -355,6 +355,27 @@ def test_contract_mat_bytes_equal_the_full_pass(t, data):
     assert t.contract_mat(x).tobytes() == expected
     # The tensor keeps no state between calls.
     assert t.contract_mat(x).tobytes() == expected
+
+
+@st.composite
+def index_rows(draw):
+    """(N, 3) rows over a pool of at most four values, whose largest lies on
+    either side of ``unique_rows``' 2**21 key bound: rows with a repeated
+    entry, and duplicates in any vertex order."""
+    top = draw(st.sampled_from([0, 5, 2**21 - 2, 2**21 - 1, 2**21, 2**40]))
+    pool = [top] + draw(st.lists(st.integers(0, top), max_size=3))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * 3), max_size=60))
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
+@SETTINGS
+@given(rows=index_rows())
+def test_unique_rows_equals_np_unique_of_the_sorted_rows(rows):
+    got, inverse = unique_rows(rows)
+    want, want_inverse = np.unique(np.sort(rows, axis=1), axis=0, return_inverse=True)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert inverse.tobytes() == want_inverse.reshape(-1).astype(np.intp).tobytes()
 
 
 @SETTINGS
