@@ -105,15 +105,37 @@ class SolverTrace:
     terminated: str = ""
 
     def verify(self) -> None:
-        """Audit the ascent guarantees; raises :class:`TraceViolation`."""
-        starts = [p["stage_start"] for p in self.alpha_phases]
-        bounds = starts + [len(self.stage_scores)]
-        for (lo, hi), phase in zip(itertools.pairwise(bounds), self.alpha_phases):
+        """Audit the layout and the ascent guarantees; raises :class:`TraceViolation`.
+
+        Every phase names its ``alpha``, ``stage_start`` and ``u_start``.  The
+        starts are integers that never decrease nor pass the end of their
+        list, and the first phase starts at stage 0 whenever there are stage
+        scores, so that every stage score is audited within its phase.
+        """
+        keys = ("alpha", "stage_start", "u_start")
+        try:
+            alphas, stage, u = ([p[k] for p in self.alpha_phases] for k in keys)
+        except (KeyError, TypeError) as exc:
+            raise TraceViolation(f"each alpha phase needs {', '.join(keys)}: {exc!r}") from None
+        for key, starts, scores in (
+            ("stage_start", stage, self.stage_scores),
+            ("u_start", u, self.u_scores3),
+        ):
+            if not all(type(s) is int for s in starts) or any(
+                b < a for a, b in itertools.pairwise([0, *starts, len(scores)])
+            ):
+                raise TraceViolation(
+                    f"{key}s must be non-decreasing integers in [0, {len(scores)}], got {starts}"
+                )
+        if len(self.stage_scores) and stage[:1] != [0]:
+            raise TraceViolation("stage scores before the first alpha phase")
+        bounds = stage + [len(self.stage_scores)]
+        for (lo, hi), alpha in zip(itertools.pairwise(bounds), alphas):
             seg = self.stage_scores[lo:hi]
             for a, b in zip(seg, seg[1:]):
                 if b < a - EQUALITY_TOL_REL * (1.0 + abs(a)):
                     raise TraceViolation(
-                        f"stage scores decreased within alpha={phase['alpha']}: {a} -> {b}"
+                        f"stage scores decreased within alpha={alpha}: {a} -> {b}"
                     )
         for a, b in zip(self.u_scores3, self.u_scores3[1:]):
             if not b > a:

@@ -22,7 +22,7 @@ from .affinity import AffinityParams, SamplingConfig, build_matrix2, build_tenso
 from .bcagm import TENSOR_METHODS, SolverConfig, TraceViolation, run_method
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
 from .qap import ipfp, mpm
-from .tensor import SparseSymmetricTensor3, _as_indices, _check_number
+from .tensor import SparseSymmetricTensor3, _check_number
 
 __all__ = [
     "METHODS",
@@ -162,14 +162,15 @@ def gen_instance(n_in: int, n_out: int, sigma: float, scale: float, seed: int):
 
 
 def accuracy(assignment: AssignmentVector, gt) -> float:
-    """Fraction of template points matched to their true scene position."""
-    gt = _as_indices(gt, "ground truth")
-    if gt.shape != (assignment.shape.n1,):
-        raise ValueError(
-            f"ground truth must cover all {assignment.shape.n1} rows, got shape {gt.shape}"
-        )
-    cols = np.asarray(assignment.cols, dtype=np.intp)
-    return float(np.mean(cols == gt))
+    """Fraction of template points matched to their true scene position.
+
+    ``gt`` must itself be a matching of the assignment's shape.
+    """
+    try:
+        truth = AssignmentVector(assignment.shape, gt)
+    except ValueError as exc:
+        raise ValueError(f"ground truth must cover the rows as a matching: {exc}") from None
+    return float(np.mean(np.equal(assignment.cols, truth.cols)))
 
 
 def prepare_case(spec: ExperimentSpec, n_out: int, trial: int) -> TrialCase:
@@ -231,18 +232,15 @@ def _run_trial(spec: ExperimentSpec, n_out: int, trial: int) -> list[ResultRecor
 def run_grid(spec: ExperimentSpec) -> list[ResultRecord]:
     """Run every (grid point, trial, method) and return canonically ordered rows.
 
-    Trials are independent; with ``threads > 1`` they run in a thread pool,
-    which changes wall times but no recorded value, and the output order is
-    canonical regardless.  ``deterministic`` zeroes the wall times and
-    changes nothing else.
+    Trials are independent and run in one pool of ``threads`` workers (0: one
+    per core), capped at the cores; the pool changes wall times but no
+    recorded value, and the output order is canonical regardless.
+    ``deterministic`` zeroes the wall times and changes nothing else.
     """
     tasks = [(n_out, trial) for n_out in spec.n_out for trial in range(spec.trials)]
-    threads = spec.threads or os.cpu_count() or 1
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_task = list(pool.map(lambda t: _run_trial(spec, *t), tasks))
-    else:
-        per_task = [_run_trial(spec, n_out, trial) for n_out, trial in tasks]
+    cores = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(spec.threads or cores, cores)) as pool:
+        per_task = list(pool.map(lambda t: _run_trial(spec, *t), tasks))
     return [record for rows in per_task for record in rows]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -90,6 +91,89 @@ class TestTraceAudit:
             ],
         )
         trace.verify()
+
+
+    @pytest.mark.parametrize(
+        "stage_scores, u_scores3, phases",
+        [
+            pytest.param([1.0, 0.0], [0.0], [], id="stage-scores-without-a-phase"),
+            pytest.param(
+                [2.0, 1.0, 3.0], [0.0], [{"alpha": 0.0, "stage_start": 1, "u_start": 0}],
+                id="first-phase-after-stage-0",
+            ),
+            pytest.param(
+                [1.0, 2.0], [0.0], [{"alpha": 0.0, "stage_start": 0.0, "u_start": 0}],
+                id="float-stage-start",
+            ),
+            pytest.param(
+                [2.0, 1.0, 3.0], [0.0], [{"alpha": 0.0, "stage_start": True, "u_start": 0}],
+                id="bool-stage-start",
+            ),
+            pytest.param(
+                [1.0, 2.0, 3.0],
+                [0.0],
+                [
+                    {"alpha": 0.0, "stage_start": 0, "u_start": 0},
+                    {"alpha": 1.0, "stage_start": 2, "u_start": 0},
+                    {"alpha": 2.0, "stage_start": 1, "u_start": 0},
+                ],
+                id="decreasing-stage-starts",
+            ),
+            pytest.param(
+                [1.0, 2.0, 3.0], [0.0],
+                [
+                    {"alpha": 0.0, "stage_start": 0, "u_start": 0},
+                    {"alpha": 1.0, "stage_start": 5, "u_start": 0},
+                ],
+                id="stage-start-past-the-end",
+            ),
+            pytest.param(
+                [1.0, 2.0], [0.0, 1.0],
+                [
+                    {"alpha": 0.0, "stage_start": 0, "u_start": 1},
+                    {"alpha": 1.0, "stage_start": 1, "u_start": 0},
+                ],
+                id="decreasing-u-starts",
+            ),
+            pytest.param(
+                [1.0, 2.0], [0.0], [{"alpha": 0.0, "stage_start": 0, "u_start": 3}],
+                id="u-start-past-the-end",
+            ),
+            pytest.param(
+                [1.0, 2.0], [0.0], [{"stage_start": 0, "u_start": 0}], id="phase-without-alpha"
+            ),
+            pytest.param(
+                [1.0, 2.0], [0.0], [{"alpha": 0.0, "u_start": 0}], id="phase-without-stage-start"
+            ),
+            pytest.param(
+                [1.0, 2.0], [0.0], [{"alpha": 0.0, "stage_start": 0}], id="phase-without-u-start"
+            ),
+            pytest.param([], [0.0], [None], id="phase-not-a-mapping"),
+        ],
+    )
+    def test_rejects_a_malformed_layout(self, stage_scores, u_scores3, phases):
+        # Documents read from disk reach the audit too; a layout that would
+        # leave a stage score unaudited, or crash the audit, is a violation.
+        trace = SolverTrace(
+            stage_scores=stage_scores, u_scores3=u_scores3, alpha_phases=phases,
+            terminated="stalled",
+        )
+        with pytest.raises(TraceViolation):
+            trace.verify()
+
+    def test_every_written_trace_passes_after_a_json_round_trip(self, monkeypatch):
+        t = oracles.random_tensor(np.random.default_rng(265), MatchingShape(3, 4), 18)
+        traces = [
+            run_method(name, t, schedule).trace
+            for name in TENSOR_METHODS
+            for schedule in ALPHA_SCHEDULES
+        ]
+        monkeypatch.setattr(bcagm_module, "MAX_OUTER_ITERS", 1)
+        traces += [run_method(name, t).trace for name in TENSOR_METHODS]
+        assert {"stalled", "max_outer_iters"} <= {trace.terminated for trace in traces}
+        assert any(not trace.alpha_phases for trace in traces)  # hopm's
+        for trace in traces:
+            SolverTrace(**json.loads(json.dumps(trace.as_dict()))).verify()
 
 
 class TestDefaultStart:

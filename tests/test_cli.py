@@ -347,9 +347,8 @@ class TestSynth:
             "--methods", "bcagm,hopm,ipfp2", "--deterministic",
         ]
         assert main(args + ["--threads", "1", "--output", str(out1)]) == 0
-        assert pools == []
         assert main(args + ["--threads", "2", "--output", str(out2)]) == 0
-        assert pools == [2]
+        assert pools == [1, min(2, os.cpu_count() or 1)]
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_bad_flags_exit_1(self):

@@ -1,5 +1,7 @@
 """Synthetic benchmark harness: generation, accuracy, grid runner."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,12 @@ class TestAccuracy:
         shape = MatchingShape(3, 4)
         with pytest.raises(ValueError, match="cover"):
             accuracy(AssignmentVector(shape, (0, 1, 2)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("gt", [[0, 1, 7], [0, 0, 1]], ids=["column-out-of-range", "repeat"])
+    def test_refuses_a_ground_truth_that_is_not_a_matching(self, gt):
+        assignment = AssignmentVector(MatchingShape(3, 5), (0, 1, 2))
+        with pytest.raises(ValueError, match="ground truth"):
+            accuracy(assignment, gt)
 
 
 class TestTrialSeed:
@@ -232,6 +240,38 @@ class TestRunGrid:
         spec = ExperimentSpec(n_in=6, n_out=(0,), trials=1, methods=("bcagm",))
         with pytest.raises(TraceViolation):
             run_grid(spec)
+
+    def test_pool_never_has_more_workers_than_cores(self, monkeypatch):
+        # The recorder builds at most two workers, whatever it is asked for.
+        sizes, real_pool = [], harness.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", recording_pool)
+        spec = ExperimentSpec(n_in=5, trials=3, methods=("hopm",), threads=10**6)
+        assert len(run_grid(spec)) == 3
+        assert sizes == [2]
+
+    def test_trace_violation_stops_the_trials_not_yet_started(self, monkeypatch):
+        from hypermatch import TraceViolation
+
+        calls = []
+
+        def run_trial(spec, n_out, trial):
+            calls.append(trial)
+            if trial == 0:
+                raise TraceViolation("ascent audit failed")
+            time.sleep(0.05)
+            return []
+
+        monkeypatch.setattr(harness, "_run_trial", run_trial)
+        spec = ExperimentSpec(n_in=5, trials=20, threads=1)
+        with pytest.raises(TraceViolation):
+            run_grid(spec)
+        assert len(calls) < 20
 
     def test_threaded_run_matches_sequential_values(self):
         base = dict(n_in=6, n_out=(0, 2), trials=2, methods=("bcagm",), deterministic=False)
