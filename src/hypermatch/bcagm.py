@@ -17,10 +17,9 @@ import numpy as np
 
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
 from .qap import SUBROUTINES, _power_iterate, psi_with_guard
-from .tensor import LiftedOperator, SparseSymmetricTensor3, alpha_bound
+from .tensor import LiftedOperator, SparseSymmetricTensor3, _check_number, alpha_bound
 
 __all__ = [
-    "ALPHA_SCHEDULES",
     "TENSOR_METHODS",
     "VARIANTS",
     "TraceViolation",
@@ -34,13 +33,6 @@ __all__ = [
     "run_method",
 ]
 
-# The convexification schedules, by name: one flag per alpha phase, True
-# where the phase uses alpha_bound(tensor) and False where it uses zero.
-ALPHA_SCHEDULES = {
-    "zero_then_bound": (False, True),
-    "bound_always": (True,),
-    "zero_only": (False,),
-}
 VARIANTS = ("bcagm", "bcagm_psi")
 
 TERMINATED_STALLED = "stalled"
@@ -68,23 +60,13 @@ class TraceViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Parameters of the block-coordinate solvers.
-
-    ``alpha_schedule`` controls the convexification weight: start at zero
-    and switch to the safe bound on the first stall (default), use the bound
-    from the start, or never convexify.
-    """
+    """Parameters of the block-coordinate solvers."""
 
     variant: str = "bcagm"
     subroutine: str = "ipfp"
-    alpha_schedule: str = "zero_then_bound"
 
     def __post_init__(self) -> None:
-        for name, allowed in (
-            ("variant", VARIANTS),
-            ("subroutine", SUBROUTINES),
-            ("alpha_schedule", tuple(ALPHA_SCHEDULES)),
-        ):
+        for name, allowed in (("variant", VARIANTS), ("subroutine", SUBROUTINES)):
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
@@ -110,16 +92,29 @@ class SolverTrace:
         Every phase names its ``alpha``, ``stage_start`` and ``u_start``.  The
         starts are integers that never decrease nor pass the end of their
         list, and the first phase starts at stage 0 whenever there are stage
-        scores, so that every stage score is audited within its phase.
+        scores, so that every stage score is audited within its phase.  Every
+        score is a finite real and every alpha a finite real >= 0, by
+        ``_check_number``: a NaN compares false and would hide a fall.
         """
         keys = ("alpha", "stage_start", "u_start")
         try:
             alphas, stage, u = ([p[k] for p in self.alpha_phases] for k in keys)
         except (KeyError, TypeError) as exc:
             raise TraceViolation(f"each alpha phase needs {', '.join(keys)}: {exc!r}") from None
+        try:
+            stage_scores, u_scores3 = list(self.stage_scores), list(self.u_scores3)
+            for name, values, low in (
+                ("each stage score", stage_scores, None),
+                ("each u score", u_scores3, None),
+                ("each alpha", alphas, 0),
+            ):
+                for value in values:
+                    _check_number(value, name, low)
+        except (TypeError, ValueError) as exc:
+            raise TraceViolation(f"bad trace values: {exc}") from None
         for key, starts, scores in (
-            ("stage_start", stage, self.stage_scores),
-            ("u_start", u, self.u_scores3),
+            ("stage_start", stage, stage_scores),
+            ("u_start", u, u_scores3),
         ):
             if not all(type(s) is int for s in starts) or any(
                 b < a for a, b in itertools.pairwise([0, *starts, len(scores)])
@@ -127,17 +122,17 @@ class SolverTrace:
                 raise TraceViolation(
                     f"{key}s must be non-decreasing integers in [0, {len(scores)}], got {starts}"
                 )
-        if len(self.stage_scores) and stage[:1] != [0]:
+        if stage_scores and stage[:1] != [0]:
             raise TraceViolation("stage scores before the first alpha phase")
-        bounds = stage + [len(self.stage_scores)]
+        bounds = stage + [len(stage_scores)]
         for (lo, hi), alpha in zip(itertools.pairwise(bounds), alphas):
-            seg = self.stage_scores[lo:hi]
+            seg = stage_scores[lo:hi]
             for a, b in zip(seg, seg[1:]):
                 if b < a - EQUALITY_TOL_REL * (1.0 + abs(a)):
                     raise TraceViolation(
                         f"stage scores decreased within alpha={alpha}: {a} -> {b}"
                     )
-        for a, b in zip(self.u_scores3, self.u_scores3[1:]):
+        for a, b in zip(u_scores3, u_scores3[1:]):
             if not b > a:
                 raise TraceViolation(f"merge scores not strictly increasing: {a} -> {b}")
 
@@ -229,7 +224,7 @@ def default_start(tensor: SparseSymmetricTensor3) -> AssignmentVector:
     return solve_lap_max(reshape_to_profit(profit, tensor.shape))
 
 
-def _ascent(tensor, cfg, nblocks, update):
+def _ascent(tensor, nblocks, update):
     """Shared driver: block sweeps, stall detection, merges, alpha phases."""
     tol = EQUALITY_TOL_REL
     trace = SolverTrace()
@@ -240,9 +235,8 @@ def _ascent(tensor, cfg, nblocks, update):
 
     outer = 0
     hit_cap = False
-    bound = alpha_bound(tensor)
-    for convexify in ALPHA_SCHEDULES[cfg.alpha_schedule]:
-        alpha = bound if convexify else 0.0
+    # The one schedule: alpha 0 until the first stall, then the safe bound.
+    for alpha in (0.0, alpha_bound(tensor)):
         op = LiftedOperator(memo, alpha)
         assigns = [u_best] * nblocks
         vecs = [u_vec] * nblocks
@@ -316,7 +310,7 @@ def _config_for(variant: str, cfg: SolverConfig | None) -> SolverConfig:
 def bcagm_solve(tensor: SparseSymmetricTensor3, cfg: SolverConfig | None = None) -> Solution:
     """Four-block coordinate ascent; every block update is a globally
     optimal linear assignment on the gradient-direction contraction."""
-    cfg = _config_for("bcagm", cfg)
+    _config_for("bcagm", cfg)
     shape = tensor.shape
 
     def update(op, vecs, assigns, b):
@@ -326,7 +320,7 @@ def bcagm_solve(tensor: SparseSymmetricTensor3, cfg: SolverConfig | None = None)
         v = a.indicator()
         return a, v, float(np.dot(profit, v))
 
-    return _ascent(tensor, cfg, 4, update)
+    return _ascent(tensor, 4, update)
 
 
 def bcagm_psi_solve(tensor: SparseSymmetricTensor3, cfg: SolverConfig | None = None) -> Solution:
@@ -341,7 +335,7 @@ def bcagm_psi_solve(tensor: SparseSymmetricTensor3, cfg: SolverConfig | None = N
         a = res.assignment
         return a, a.indicator(), res.objective
 
-    return _ascent(tensor, cfg, 2, update)
+    return _ascent(tensor, 2, update)
 
 
 def hopm_baseline(tensor: SparseSymmetricTensor3) -> Solution:
@@ -393,17 +387,13 @@ def _check_method(name) -> None:
         raise ValueError(f"unknown method {name!r}, expected one of {tuple(TENSOR_METHODS)}")
 
 
-def run_method(
-    name: str,
-    tensor: SparseSymmetricTensor3,
-    alpha_schedule: str = SolverConfig.alpha_schedule,
-) -> Solution:
-    """Solve ``tensor`` by the method ``name``; ``hopm`` checks ``alpha_schedule`` only."""
+def run_method(name: str, tensor: SparseSymmetricTensor3) -> Solution:
+    """Solve ``tensor`` by the method ``name``."""
     _check_method(name)
     fields = TENSOR_METHODS[name]
-    cfg = SolverConfig(**(fields or {}), alpha_schedule=alpha_schedule)
     if fields is None:
         return hopm_baseline(tensor)
+    cfg = SolverConfig(**fields)
     if cfg.variant == "bcagm":
         return bcagm_solve(tensor, cfg)
     return bcagm_psi_solve(tensor, cfg)

@@ -30,8 +30,6 @@ EXIT_SELFCHECK = 4
 
 FORMAT_VERSION = 1
 
-_ALPHA_MODES = {"zero-then-bound": "zero_then_bound", "bound": "bound_always", "zero": "zero_only"}
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -77,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--output", help="CSV file (default: stdout)")
     synth.set_defaults(func=_cmd_synth)
     for command in (match, synth):  # the flags both take
-        command.add_argument("--alpha-mode", choices=sorted(_ALPHA_MODES), dest="alpha_mode")
         command.add_argument("--triples-per-point", type=int, dest="triples_per_point")
         command.add_argument("--knn", type=int)
 
@@ -162,21 +159,11 @@ def _given(options: dict, args, *keys: str) -> dict:
 
 def _cmd_match(args) -> int:
     P, Q, options = _load_problem(args.input)
-    given = _given(options, args, "method", "alpha_mode")
-    method = given.get("method", ExperimentSpec.methods[0])
+    method = _given(options, args, "method").get("method", ExperimentSpec.methods[0])
     try:
         _check_method(method)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
-    schedule = {}
-    if "alpha_mode" in given:
-        alpha_mode = given["alpha_mode"]
-        if alpha_mode not in tuple(_ALPHA_MODES):  # by ==, so an unhashable value is refused too
-            raise CliError(
-                f"unknown alpha mode {alpha_mode!r}, expected one of {sorted(_ALPHA_MODES)}",
-                EXIT_USAGE,
-            )
-        schedule["alpha_schedule"] = _ALPHA_MODES[alpha_mode]
     try:
         sampling = SamplingConfig(**_given(options, args, "triples_per_point", "knn", "seed"))
         params = AffinityParams(**_given(options, args, "gamma"))
@@ -189,7 +176,7 @@ def _cmd_match(args) -> int:
             "hypermatch: warning: the affinity tensor is empty; the assignment is a guess",
             file=sys.stderr,
         )
-    solution = run_method(method, tensor, **schedule)
+    solution = run_method(method, tensor)
 
     result = {
         "format_version": FORMAT_VERSION,
@@ -233,8 +220,6 @@ def _cmd_synth(args) -> int:
         chosen["n_out"] = _parse_n_out(args.n_out)
     if args.methods is not None:
         chosen["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if args.alpha_mode is not None:
-        chosen["alpha_schedule"] = _ALPHA_MODES[args.alpha_mode]
     try:
         spec = ExperimentSpec(
             n_in=args.n_in,

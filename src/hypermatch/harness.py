@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .affinity import AffinityParams, SamplingConfig, build_matrix2, build_tensor
-from .bcagm import TENSOR_METHODS, SolverConfig, TraceViolation, run_method
+from .bcagm import TENSOR_METHODS, TraceViolation, run_method
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
 from .qap import ipfp, mpm
 from .tensor import SparseSymmetricTensor3, _check_number
@@ -66,7 +66,6 @@ class ExperimentSpec:
     methods: tuple[str, ...] = ("bcagm",)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     affinity: AffinityParams = field(default_factory=AffinityParams)
-    alpha_schedule: str = SolverConfig.alpha_schedule
     deterministic: bool = False
     threads: int = 1
 
@@ -85,7 +84,6 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}, expected subset of {METHODS}")
-        SolverConfig(alpha_schedule=self.alpha_schedule)  # the one schedule check
         if self.sampling.seed:
             raise ValueError(
                 "sampling.seed is derived per trial from seed_base; set seed_base instead"
@@ -186,7 +184,7 @@ def _run_method(method: str, case: TrialCase, matrix2, spec: ExperimentSpec):
     """Returns (assignment, iterations)."""
     shape = case.tensor.shape
     if method in TENSOR_METHODS:
-        sol = run_method(method, case.tensor, spec.alpha_schedule)
+        sol = run_method(method, case.tensor)
         return sol.assignment, sol.outer_iterations
     if method == "ipfp2":
         ones = np.ones(shape.n)

@@ -55,15 +55,7 @@ SHAPE23 = MatchingShape(2, 3)
         pytest.param(
             lambda: ExperimentSpec(n_in=4, seed_base=1.5), "seed_base", id="fractional-seed_base"
         ),
-        pytest.param(
-            lambda: ExperimentSpec(n_in=4, alpha_schedule="nope"),
-            "alpha_schedule",
-            id="spec-unknown-schedule",
-        ),
         pytest.param(lambda: run_method("nope", T3), "method", id="unknown-method"),
-        pytest.param(
-            lambda: run_method("hopm", T3, "nope"), "alpha_schedule", id="hopm-unknown-schedule"
-        ),
         pytest.param(lambda: MatchingShape(True, 3), "n1", id="bool-n1"),
         pytest.param(lambda: MatchingShape(2.5, 3), "n1", id="fractional-n1"),
         pytest.param(lambda: LiftedOperator(T3, True), "alpha", id="bool-alpha"),

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from hypermatch import (
     hopm_baseline,
     run_method,
 )
-from hypermatch.bcagm import ALPHA_SCHEDULES, TENSOR_METHODS
+from hypermatch.bcagm import TENSOR_METHODS
 from test_golden import solution_doc
 from test_tensor import random_tensors
 
@@ -45,8 +46,6 @@ class TestConfig:
             SolverConfig(variant="gradient")
         with pytest.raises(ValueError, match="subroutine"):
             SolverConfig(subroutine="sm")
-        with pytest.raises(ValueError, match="alpha_schedule"):
-            SolverConfig(alpha_schedule="adaptive")
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SolverConfig)])
     def test_fields_cannot_be_reassigned(self, field):
@@ -55,6 +54,11 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, field, "bogus")
         assert cfg == SolverConfig()
+
+
+def phase(alpha):
+    """One alpha phase that starts both lists at 0."""
+    return [{"alpha": alpha, "stage_start": 0, "u_start": 0}]
 
 
 class TestTraceAudit:
@@ -149,11 +153,22 @@ class TestTraceAudit:
                 [1.0, 2.0], [0.0], [{"alpha": 0.0, "stage_start": 0}], id="phase-without-u-start"
             ),
             pytest.param([], [0.0], [None], id="phase-not-a-mapping"),
+            # A NaN or an infinity compares false and would hide a fall.
+            pytest.param([1.0, math.nan, 0.5], [0.0], phase(0.0), id="nan-stage-score"),
+            pytest.param([1.0, math.inf, 0.5], [0.0], phase(0.0), id="inf-stage-score"),
+            pytest.param(["a", "b"], [0.0], phase(0.0), id="string-stage-scores"),
+            pytest.param(None, [0.0], phase(0.0), id="stage-scores-none"),
+            pytest.param([True, 2.0], [0.0], phase(0.0), id="bool-stage-score"),
+            pytest.param([1.0], ["a", "b"], phase(0.0), id="string-u-scores"),
+            pytest.param([1.0], [0.0], phase(math.nan), id="nan-alpha"),
+            pytest.param([1.0], [0.0], phase("x"), id="string-alpha"),
+            pytest.param([1.0], [0.0], phase(-1.0), id="negative-alpha"),
         ],
     )
     def test_rejects_a_malformed_layout(self, stage_scores, u_scores3, phases):
-        # Documents read from disk reach the audit too; a layout that would
-        # leave a stage score unaudited, or crash the audit, is a violation.
+        # Documents read from disk reach the audit too; a layout or a value
+        # that would leave a stage score unaudited, or crash the audit, is a
+        # violation.
         trace = SolverTrace(
             stage_scores=stage_scores, u_scores3=u_scores3, alpha_phases=phases,
             terminated="stalled",
@@ -163,11 +178,7 @@ class TestTraceAudit:
 
     def test_every_written_trace_passes_after_a_json_round_trip(self, monkeypatch):
         t = oracles.random_tensor(np.random.default_rng(265), MatchingShape(3, 4), 18)
-        traces = [
-            run_method(name, t, schedule).trace
-            for name in TENSOR_METHODS
-            for schedule in ALPHA_SCHEDULES
-        ]
+        traces = [run_method(name, t).trace for name in TENSOR_METHODS]
         monkeypatch.setattr(bcagm_module, "MAX_OUTER_ITERS", 1)
         traces += [run_method(name, t).trace for name in TENSOR_METHODS]
         assert {"stalled", "max_outer_iters"} <= {trace.terminated for trace in traces}
@@ -220,18 +231,6 @@ class TestBcagmSolve:
                 t.score(sol.assignment.indicator()), rel=1e-10
             )
 
-    def test_alpha_schedules(self):
-        rng = np.random.default_rng(44)
-        shape = MatchingShape(4, 6)
-        t = oracles.random_tensor(rng, shape, 40)
-        scores = {}
-        for schedule in ALPHA_SCHEDULES:
-            sol = bcagm_solve(t, SolverConfig(variant="bcagm", alpha_schedule=schedule))
-            scores[schedule] = sol.score3
-            assert sol.trace.terminated == "stalled"
-        # the two-phase schedule can only improve on its first phase
-        assert scores["zero_then_bound"] >= scores["zero_only"] - 1e-12
-
     def test_iteration_cap_reported(self, monkeypatch):
         rng = np.random.default_rng(46)
         shape = MatchingShape(4, 6)
@@ -281,18 +280,14 @@ class TestReturnedScores:
 
 class TestContractionMemo:
     @settings(max_examples=60)
-    @given(
-        t=random_tensors(),
-        schedule=st.sampled_from(tuple(ALPHA_SCHEDULES)),
-        one_sweep=st.booleans(),
-    )
-    def test_solutions_equal_those_without_the_memo(self, t, schedule, one_sweep):
+    @given(t=random_tensors(), one_sweep=st.booleans())
+    def test_solutions_equal_those_without_the_memo(self, t, one_sweep):
         with pytest.MonkeyPatch.context() as m:
             if one_sweep:
                 m.setattr(bcagm_module, "MAX_OUTER_ITERS", 1)
-            with_memo = [solution_doc(run_method(name, t, schedule)) for name in TENSOR_METHODS]
+            with_memo = [solution_doc(run_method(name, t)) for name in TENSOR_METHODS]
             m.setattr(bcagm_module, "_ContractionMemo", lambda tensor: tensor)
-            without = [solution_doc(run_method(name, t, schedule)) for name in TENSOR_METHODS]
+            without = [solution_doc(run_method(name, t)) for name in TENSOR_METHODS]
         assert with_memo == without
 
     def test_repeats_and_swapped_pairs_reuse_one_pass(self, monkeypatch):
@@ -478,11 +473,11 @@ class TestDispatcher:
         t = identity_tensor(3)
         for name, fields in TENSOR_METHODS.items():
             calls.clear()
-            run_method(name, t, "zero_only")
+            run_method(name, t)
             if fields is None:
                 assert calls == [("hopm_baseline", None)]
                 continue
-            cfg = SolverConfig(**fields, alpha_schedule="zero_only")
+            cfg = SolverConfig(**fields)
             solver = "bcagm_solve" if cfg.variant == "bcagm" else "bcagm_psi_solve"
             assert calls == [(solver, cfg)]
 

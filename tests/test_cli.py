@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
-import inspect
 import itertools
 import json
 import os
@@ -8,10 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from hypermatch import ExperimentSpec, build_tensor, harness, prepare_case, run_grid
+from hypermatch import ExperimentSpec, harness, prepare_case, run_grid
 from hypermatch import bcagm as bcagm_module
 from hypermatch import cli, selfcheck
 from hypermatch import tensor as tensor_module
@@ -178,8 +176,6 @@ class TestMatch:
         [
             {"method": ["bcagm"]},
             {"method": {"name": "bcagm"}},
-            {"alpha_mode": ["zero"]},
-            {"alpha_mode": {}},
         ],
     )
     def test_non_string_method_or_alpha_mode_exits_1(self, tmp_path, capsys, options):
@@ -188,26 +184,6 @@ class TestMatch:
         err = capsys.readouterr().err
         assert err.startswith("hypermatch: unknown")
         assert err.count("\n") == 1
-
-    # The flag, the file option, and the flag over the file option.
-    @pytest.mark.parametrize(
-        "options, flags, schedule",
-        [
-            ({}, ["--alpha-mode", "bound"], "bound_always"),
-            ({"alpha_mode": "zero"}, [], "zero_only"),
-            ({"alpha_mode": "zero"}, ["--alpha-mode", "bound"], "bound_always"),
-        ],
-    )
-    def test_alpha_mode_selects_the_schedule(self, tmp_path, capsys, options, flags, schedule):
-        problem = write_problem(tmp_path / "p.json", options=options)
-        assert main(["match", problem, *flags]) == 0
-        result = json.loads(capsys.readouterr().out)
-        points = np.array(SQUARE)
-        ref = run_method("bcagm", build_tensor(points, points), schedule)
-        assert result["assignment"] == ref.assignment.to_one_based()
-        assert result["trace"] == ref.trace.as_dict()
-        alphas = [phase["alpha"] for phase in result["trace"]["alpha_phases"]]
-        assert (alphas == [0.0]) == (schedule == "zero_only")
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         problem = write_problem(tmp_path / "p.json")
@@ -416,7 +392,7 @@ class TestSharedParser:
         assert main(["match", problem, "--output", str(out1)]) == 0
         assert main([
             "synth", "--n-in", "4", "--methods", "hopm", "--seed", "3", "--knn", "20",
-            "--triples-per-point", "5", "--alpha-mode", "bound", "--deterministic",
+            "--triples-per-point", "5", "--deterministic",
             "--output", str(tmp_path / "g.csv"),
         ]) == 0
         assert main(["match", problem, "--method", "hopm", "--knn", "x"]) == 1
@@ -434,6 +410,22 @@ class TestSharedParser:
         usage, error = capsys.readouterr().err.splitlines()
         assert usage.startswith("usage: hypermatch")
         assert error == "hypermatch: error: unrecognized arguments: --deterministic"
+
+    def test_neither_command_has_an_alpha_mode_flag(self, tmp_path, capsys):
+        # One convexification schedule, so nothing to choose.
+        problem = write_problem(tmp_path / "p.json")
+        for argv in (["match", problem], ["synth", "--n-in", "4"]):
+            assert main([*argv, "--alpha-mode", "bound"]) == 1
+            usage, error = capsys.readouterr().err.splitlines()
+            assert usage.startswith("usage: hypermatch")
+            assert error == "hypermatch: error: unrecognized arguments: --alpha-mode bound"
+
+    def test_a_file_alpha_mode_is_ignored(self, tmp_path):
+        plain, keyed = tmp_path / "plain.json", tmp_path / "keyed.json"
+        assert main(["match", write_problem(tmp_path / "p.json"), "--output", str(plain)]) == 0
+        problem = write_problem(tmp_path / "k.json", options={"alpha_mode": "bound"})
+        assert main(["match", problem, "--output", str(keyed)]) == 0
+        assert keyed.read_bytes() == plain.read_bytes()
 
 
 class TestUnsetFlagsStayUnset:
@@ -457,23 +449,6 @@ class TestUnsetFlagsStayUnset:
         assert not unset.keys() & {"n_out", "sigma", "scale", "trials", "seed_base", "threads"}
         assert spelled_out["seed_base"] == 0 and spelled_out["n_out"] == (0,)
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_match_hands_run_method_a_schedule_only_when_set(self, tmp_path, monkeypatch):
-        schedules = []
-
-        def recording_run_method(*args, **kwargs):
-            bound = inspect.signature(run_method).bind(*args, **kwargs)
-            schedules.append(bound.arguments.get("alpha_schedule"))
-            return run_method(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "run_method", recording_run_method)
-        problem = write_problem(tmp_path / "p.json")
-        out = str(tmp_path / "r.json")
-        assert main(["match", problem, "--output", out]) == 0
-        assert main(["match", problem, "--alpha-mode", "bound", "--output", out]) == 0
-        zero = write_problem(tmp_path / "z.json", options={"alpha_mode": "zero"})
-        assert main(["match", zero, "--output", out]) == 0
-        assert schedules == [None, "bound_always", "zero_only"]
 
     def test_an_unknown_file_method_exits_1_before_the_build(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "build_tensor", None)  # a call would raise TypeError
