@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .tensor import MatchingShape, SparseSymmetricTensor3, _check_number, unique_rows
+from .tensor import MatchingShape, SparseSymmetricTensor3, _check_number, _sort_rows, unique_rows
 
 __all__ = [
     "SamplingConfig",
@@ -35,6 +35,10 @@ Q_TRIPLE_CAP = 200_000
 # features rather than one over all six vertex orders of each; the two routes
 # break even near 8 000 sets on one BLAS thread.
 _SORTED_TREE_MIN_SETS = 8_000
+# Up to this many scene points, a sampled scene's distinct sets are marked in a
+# boolean array of n2**3 bytes (10.6 MB here) rather than ranked by
+# unique_rows; the two break even near 220 points on one thread.
+_SCENE_BITMAP_MAX_N2 = 220
 
 
 @dataclass(frozen=True)
@@ -101,31 +105,38 @@ def _sine_features(points: np.ndarray, triples: np.ndarray):
     angles at the three vertices, in triple order.
 
     Returns ``(triples, features)`` without the degenerate rows: those with
-    a side shorter than ``MIN_SIDE`` or no area.
+    a side shorter than ``MIN_SIDE`` or no area.  When no row is degenerate,
+    ``triples`` itself is returned.
     """
     # A power-of-two rescale is exact and commutes with every step below; it
     # brings the half-extent into [0.5, 1), where no product overflows.  Only a
     # coordinate that every point shares (a collinear set) can overflow, to inf.
     _, e = np.frexp((points.max(axis=0) / 2 - points.min(axis=0) / 2).max())
-    feats = np.zeros((len(triples), 3))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        points = np.ldexp(points, -e)
-        a = points[triples[:, 0]]
-        b = points[triples[:, 1]]
-        c = points[triples[:, 2]]
-        ab = b - a
+    feats = np.empty((len(triples), 3))
+
+    def sides(coord):
+        # One coordinate of the side vectors b - a, c - a and c - b.
+        a, b, c = (np.take(coord, triples[:, v]) for v in range(3))
         ac = c - a
-        bc = c - b
-        d_ab = np.hypot(ab[:, 0], ab[:, 1])
-        d_ac = np.hypot(ac[:, 0], ac[:, 1])
-        d_bc = np.hypot(bc[:, 0], bc[:, 1])
-        area2 = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+        c -= b
+        b -= a
+        return b, ac, c
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ab_x, ac_x, bc_x = sides(np.ldexp(points[:, 0], -e))
+        ab_y, ac_y, bc_y = sides(np.ldexp(points[:, 1], -e))
+        d_ab = np.hypot(ab_x, ab_y)
+        d_ac = np.hypot(ac_x, ac_y)
+        d_bc = np.hypot(bc_x, bc_y)
+        area2 = np.abs(ab_x * ac_y - ab_y * ac_x)
         feats[:, 0] = area2 / (d_ab * d_ac)
         feats[:, 1] = area2 / (d_ab * d_bc)
         feats[:, 2] = area2 / (d_ac * d_bc)
     valid = (
         (d_ab >= MIN_SIDE) & (d_ac >= MIN_SIDE) & (d_bc >= MIN_SIDE) & (area2 != 0.0)
     )
+    if valid.all():
+        return triples, feats
     return triples[valid], feats[valid]
 
 
@@ -155,13 +166,35 @@ def _sample_sorted_triples(
 
 
 def _scene_triple_sets(rng: np.random.Generator, n2: int) -> np.ndarray:
+    """The scene's triple sets, each sorted ascending, in lexicographic order:
+    all C(n2, 3) of them up to ``Q_TRIPLE_CAP``, else the distinct sets of
+    ``Q_TRIPLE_CAP`` draws without a repeated vertex."""
     total = math.comb(n2, 3)
     if total <= Q_TRIPLE_CAP:
-        # The strict a < b < c mask lists its nonzeros in lexicographic order.
-        a, b, c = np.ogrid[:n2, :n2, :n2]
-        return np.argwhere((a < b) & (b < c))
+        # Each pair a < b, in lexicographic order, with its c = b+1 ... n2-1.
+        a, b = np.triu_indices(n2, 1)
+        count = n2 - 1 - b
+        sets = np.empty((total, 3), dtype=np.intp)
+        sets[:, 0] = np.repeat(a, count)
+        sets[:, 1] = np.repeat(b, count)
+        # Position t of the listing is c = t - (start of its pair) + b + 1.
+        shift = np.cumsum(count) - count - b - 1
+        sets[:, 2] = np.arange(total) - np.repeat(shift, count)
+        return sets
     draws = rng.integers(0, n2, size=(Q_TRIPLE_CAP, 3)).astype(np.intp, copy=False)
-    sets = unique_rows(draws)[0]
+    if n2 <= _SCENE_BITMAP_MAX_N2:
+        # The key (a*n2 + b)*n2 + c ranks sorted sets lexicographically, so
+        # the marked keys list the distinct sets in order, with no sort.
+        draws = _sort_rows(draws)
+        seen = np.zeros(n2**3, dtype=bool)
+        seen[(draws[:, 0] * n2 + draws[:, 1]) * n2 + draws[:, 2]] = True
+        del draws
+        ab, c = np.divmod(np.flatnonzero(seen), n2)
+        sets = np.empty((len(c), 3), dtype=np.intp, order="F")
+        sets[:, 0], sets[:, 1] = np.divmod(ab, n2)
+        sets[:, 2] = c
+    else:
+        sets = unique_rows(draws)[0]
     # A sorted row with a repeated vertex repeats it in neighbouring columns.
     return sets[(sets[:, 0] != sets[:, 1]) & (sets[:, 1] != sets[:, 2])]
 
@@ -231,7 +264,8 @@ def _knn_by_sorted_sets(q_feats: np.ndarray, p_feats: np.ndarray, k: int) -> np.
     # comparison that rounding could decide is taken on the tree's distances.
     slack = 1e-12
     q_code = _order_codes(q_feats)
-    q_sorted = np.take_along_axis(q_feats, _VERTEX_ORDERS[q_code], axis=1)
+    # Features are positive, so the network's values are those of np.sort.
+    q_sorted = _sort_rows(q_feats.copy())
     p_code = _order_codes(p_feats)
     p_sorted = np.sort(p_feats, axis=1)
 
@@ -247,17 +281,26 @@ def _knn_by_sorted_sets(q_feats: np.ndarray, p_feats: np.ndarray, k: int) -> np.
     tied = d2[:, m] <= limit if m < n_sets else np.zeros(n_tmpl, dtype=bool)
     d2, sets = d2[:, :m], sets[:, :m]
 
+    # floor = d2 + 2 min(ac, bd), below which no other order of a set comes;
+    # built in place, one candidate array at a time.
     a, b = p_sorted[:, 1] - p_sorted[:, 0], p_sorted[:, 2] - p_sorted[:, 1]
-    c, d = (q_sorted[:, 1] - q_sorted[:, 0])[sets], (q_sorted[:, 2] - q_sorted[:, 1])[sets]
-    bound = 2 * np.minimum(a[:, None] * c, b[:, None] * d)
-    done = (k == m) & ~tied & np.all(d2 + bound > limit[:, None], axis=1)
+    floor = np.take(q_sorted[:, 1] - q_sorted[:, 0], sets)
+    floor *= a[:, None]
+    bd = np.take(q_sorted[:, 2] - q_sorted[:, 1], sets)
+    bd *= b[:, None]
+    np.minimum(floor, bd, out=floor)
+    del bd
+    floor *= 2
+    floor += d2
+    done = (k == m) & ~tied & np.all(floor > limit[:, None], axis=1)
     sel = np.empty((n_tmpl, k), dtype=np.intp)
     # aligned[x, y] pairs each template rank, placed by argsort order y, with
     # the same set rank, placed by argsort order x.
     perms = _VERTEX_ORDERS[:, np.argsort(_VERTEX_ORDERS, axis=1)]
     aligned = 2 * perms[..., 0] + (perms[..., 1] > perms[..., 2])
     # A done template has k == m; the slice only fits the empty case k > m.
-    sel[done, :m] = 6 * sets[done] + aligned[q_code[sets[done]], p_code[done, None]]
+    near = sets[done]
+    sel[done, :m] = 6 * near + aligned[q_code[near], p_code[done, None]]
     expand = ~done & ~tied
     sel[expand] = _nearest_rows(q_feats, p_feats[expand], sets[expand], k)
     for t in np.flatnonzero(tied):
@@ -270,8 +313,14 @@ def _nearest_rows(q_feats: np.ndarray, p_feats: np.ndarray, sets: np.ndarray, k:
     """The ``k`` pool rows nearest each template among the six of each of its
     candidate ``sets``, by the build's distance: the same differences,
     squared and added in the same order."""
-    q_cols = q_feats.T
-    sq = [[(q_cols[j][sets] - p_feats[:, i, None]) ** 2 for j in range(3)] for i in range(3)]
+    # sq[i][j]: squared gap between template feature i and set feature j.
+    sq = [[None] * 3 for _ in range(3)]
+    for j, q_col in enumerate(q_feats.T):
+        cand = np.take(q_col, sets)
+        for i in range(3):
+            sq[i][j] = (cand - p_feats[:, i, None]) ** 2
+        # Freed before the next column's gather.
+        del cand
     n_cand = sets.shape[1]
     dist2 = np.empty((len(sets), 6, n_cand))
     for o, (o0, o1, o2) in enumerate(_VERTEX_ORDERS.tolist()):
@@ -287,12 +336,18 @@ def _kept_rows(q_sets: np.ndarray, q_feats: np.ndarray, p_feats: np.ndarray, sel
     (squared coordinate differences, added in coordinate order) whatever
     finds the neighbours."""
     sets, orders = np.divmod(sel, 6)
-    # Flat positions in q_sets and q_feats of each kept set's vertices, in its order.
-    at = 3 * sets[..., None] + _VERTEX_ORDERS[orders]
+    base = 3 * sets
+    flat_sets, flat_feats = q_sets.ravel(), q_feats.ravel()
+    q_rows = np.empty((sel.size, 3), dtype=np.intp, order="F")
     dist2 = np.zeros(sel.shape)
     for j in range(3):
-        dist2 += (q_feats.ravel()[at[..., j]] - p_feats[:, j, None]) ** 2
-    return q_sets.ravel()[at].reshape(-1, 3), dist2.reshape(-1)
+        # Flat position in q_sets and q_feats of each kept set's vertex j, in its order.
+        at = base + np.take(_VERTEX_ORDERS[:, j], orders)
+        gap = np.take(flat_feats, at)
+        gap -= p_feats[:, j, None]
+        dist2 += np.square(gap, out=gap)
+        q_rows[:, j] = np.take(flat_sets, at).reshape(-1)
+    return q_rows, dist2.reshape(-1)
 
 
 def build_tensor(

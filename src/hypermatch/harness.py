@@ -180,7 +180,7 @@ def prepare_case(spec: ExperimentSpec, n_out: int, trial: int) -> TrialCase:
     return TrialCase(P=P, Q=Q, gt=gt, tensor=tensor)
 
 
-def _run_method(method: str, case: TrialCase, matrix2, spec: ExperimentSpec):
+def _run_method(method: str, case: TrialCase, matrix2):
     """Returns (assignment, iterations)."""
     shape = case.tensor.shape
     if method in TENSOR_METHODS:
@@ -206,7 +206,7 @@ def _run_trial(spec: ExperimentSpec, n_out: int, trial: int) -> list[ResultRecor
     for method in spec.methods:
         started = time.perf_counter()
         try:
-            assignment, iterations = _run_method(method, case, matrix2, spec)
+            assignment, iterations = _run_method(method, case, matrix2)
             status = "ok"
         except TraceViolation:
             raise  # ascent guarantees are load-bearing; abort the whole run

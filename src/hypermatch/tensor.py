@@ -79,8 +79,13 @@ def _check_number(value, name: str, low=None, *, count: bool = False, strict: bo
     """Refuse setting ``name`` unless ``value`` is an integer (``count``) or a finite real,
     at least ``low`` (above it if ``strict``).  A bool is refused, a NumPy number is not."""
     kind = numbers.Integral if count else numbers.Real
-    # type() first: the ABC test alone costs more than a MatchingShape, made per LAP.
-    ok = type(value) is int or (isinstance(value, kind) and not isinstance(value, bool))
+    # type() first: the ABC test alone costs more than a MatchingShape, made per
+    # LAP, and a trace audit checks every stage score.
+    ok = (
+        type(value) is int
+        or (type(value) is float and not count)
+        or (isinstance(value, kind) and not isinstance(value, bool))
+    )
     try:  # not abs(value) <= the float max, which NumPy compares in float32 for a float32
         ok = ok and (count or math.isfinite(value))
     except OverflowError:  # an int beyond the float range
@@ -91,18 +96,35 @@ def _check_number(value, name: str, low=None, *, count: bool = False, strict: bo
         raise ValueError(f"{name} must be {what}{bound}")
 
 
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """Sort each row of the (N, 3) array ``rows`` ascending in place, by three
+    compare-and-swap steps on its columns, and return it.  The values are
+    those of ``np.sort(rows, axis=1)`` for integers, and for floats with no
+    NaN or negative zero."""
+    low = np.empty(len(rows), dtype=rows.dtype)
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        a, b = rows[:, i], rows[:, j]
+        np.minimum(a, b, out=low)
+        np.maximum(a, b, out=b)
+        a[...] = low
+    return rows
+
+
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a nonnegative (N, 3) index array, each sorted
     ascending, in lexicographic order, and for each input row the position
     of its distinct row.
 
-    Rows are ranked by one sort of the key ``(r0*m + r1)*m + r2`` with
-    ``m = rows.max() + 1``, which orders them as ``np.lexsort`` does; when
-    ``m**3`` would overflow int64, by ``np.lexsort`` itself.  The distinct
-    rows are a Fortran-ordered array, so each of its columns is contiguous.
+    Each row is sorted by :func:`_sort_rows`, in a Fortran-ordered copy, so
+    each column it reads is contiguous.  Rows are ranked by one sort of the
+    key ``(r0*m + r1)*m + r2`` with ``m = rows.max() + 1``, which orders them
+    as ``np.lexsort`` does; when ``m**3`` would overflow int64, by
+    ``np.lexsort`` itself.  The distinct rows are a Fortran-ordered array,
+    so each of its columns is contiguous.
     """
-    rows = np.sort(rows, axis=1)
-    m = int(rows.max(initial=0)) + 1
+    rows = _sort_rows(np.array(rows, order="F"))
+    # The last column holds each row's largest entry.
+    m = int(rows[:, 2].max(initial=0)) + 1
     first = np.ones(len(rows), dtype=bool)
     if m <= 2**21:  # the largest key is m**3 - 1 <= 2**63 - 1
         key = (rows[:, 0] * m + rows[:, 1]) * m + rows[:, 2]
@@ -118,11 +140,11 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del key
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    # Gathered one column at a time, so no temporary holds every row.
+    # Gathered one contiguous column at a time, so no temporary holds every row.
     sel = order[first]
     distinct = np.empty((len(sel), 3), dtype=rows.dtype, order="F")
     for c in range(3):
-        distinct[:, c] = rows[sel, c]
+        np.take(rows[:, c], sel, out=distinct[:, c])
     return distinct, inverse
 
 

@@ -58,6 +58,69 @@ def triangle_feature(points, triple) -> np.ndarray:
     return feats[0]
 
 
+def sorted_rows(rows) -> np.ndarray:
+    """Each row of ``rows`` sorted ascending by ``np.sort``, the per-row sort
+    that ``tensor._sort_rows``' compare-and-swap steps replaced."""
+    return np.sort(rows, axis=1)
+
+
+def scene_sets_by_argwhere(n2: int) -> np.ndarray:
+    """Every triple set of ``n2`` scene points in lexicographic order, as the
+    nonzeros of the strict ``a < b < c`` mask of ``n2**3`` entries: the
+    enumerated scene before it was listed pair by pair."""
+    a, b, c = np.ogrid[:n2, :n2, :n2]
+    return np.argwhere((a < b) & (b < c))
+
+
+def sine_features_by_rows(points: np.ndarray, triples: np.ndarray):
+    """``affinity._sine_features`` from ``(S, 2)`` row gathers of the rescaled
+    points, the measurable rows always taken through the mask."""
+    _, e = np.frexp((points.max(axis=0) / 2 - points.min(axis=0) / 2).max())
+    feats = np.zeros((len(triples), 3))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        points = np.ldexp(points, -e)
+        a = points[triples[:, 0]]
+        b = points[triples[:, 1]]
+        c = points[triples[:, 2]]
+        ab = b - a
+        ac = c - a
+        bc = c - b
+        d_ab = np.hypot(ab[:, 0], ab[:, 1])
+        d_ac = np.hypot(ac[:, 0], ac[:, 1])
+        d_bc = np.hypot(bc[:, 0], bc[:, 1])
+        area2 = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+        feats[:, 0] = area2 / (d_ab * d_ac)
+        feats[:, 1] = area2 / (d_ab * d_bc)
+        feats[:, 2] = area2 / (d_ac * d_bc)
+    side = affinity.MIN_SIDE
+    valid = (d_ab >= side) & (d_ac >= side) & (d_bc >= side) & (area2 != 0.0)
+    return triples[valid], feats[valid]
+
+
+def nearest_rows_nine_gathers(q_feats, p_feats, sets, k: int) -> np.ndarray:
+    """``affinity._nearest_rows`` with the candidate feature column gathered
+    again for each template coordinate: nine gathers instead of three."""
+    q_cols = q_feats.T
+    sq = [[(q_cols[j][sets] - p_feats[:, i, None]) ** 2 for j in range(3)] for i in range(3)]
+    n_cand = sets.shape[1]
+    dist2 = np.empty((len(sets), 6, n_cand))
+    for o, (o0, o1, o2) in enumerate(affinity._VERTEX_ORDERS.tolist()):
+        np.add(sq[0][o0] + sq[1][o1], sq[2][o2], out=dist2[:, o])
+    pick = np.argpartition(dist2.reshape(len(sets), 6 * n_cand), k - 1, axis=1)[:, :k]
+    return 6 * np.take_along_axis(sets, pick % n_cand, axis=1) + pick // n_cand
+
+
+def kept_rows_by_row_gather(q_sets, q_feats, p_feats, sel):
+    """``affinity._kept_rows`` from one ``(T, k, 3)`` array of flat positions,
+    each kept set's vertex orders gathered as rows of ``_VERTEX_ORDERS``."""
+    sets, orders = np.divmod(sel, 6)
+    at = 3 * sets[..., None] + affinity._VERTEX_ORDERS[orders]
+    dist2 = np.zeros(sel.shape)
+    for j in range(3):
+        dist2 += (q_feats.ravel()[at[..., j]] - p_feats[:, j, None]) ** 2
+    return q_sets.ravel()[at].reshape(-1, 3), dist2.reshape(-1)
+
+
 def dense_from_orbits(n: int, orbits) -> np.ndarray:
     """Densify a canonical orbit list by writing all six permuted copies."""
     dense = np.zeros((n, n, n))

@@ -94,6 +94,44 @@ class TestTriangleFeature:
             triangle_feature(pts, (0, 1, 5))
 
 
+@st.composite
+def feature_inputs(draw):
+    """Point sets (random, with repeated points, or collinear, at scales
+    1e-200 to 1e200) and index triples into them, with or without repeated
+    indices; degenerate rows come up on every kind but the distinct random."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m = draw(st.integers(3, 12))
+    kind = draw(st.sampled_from(["random", "duplicate", "collinear"]))
+    pts = rng.standard_normal((m, 2))
+    if kind == "duplicate":
+        pts = pts[rng.integers(0, max(2, m // 2), m)]
+    elif kind == "collinear":
+        pts = pts[0] + rng.standard_normal(m)[:, None] * pts[1]
+    pts = pts * draw(st.sampled_from([1.0, 1e200, 1e-200, 2.0**600, 3.7e-12]))
+    n_rows = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        triples = np.array([rng.choice(m, 3, replace=False) for _ in range(n_rows)])
+    else:
+        triples = rng.integers(0, m, (n_rows, 3))
+    return pts, triples.astype(np.intp).reshape(-1, 3)
+
+
+@settings(max_examples=300)
+@given(case=feature_inputs())
+def test_column_features_equal_the_row_gathers(case):
+    pts, triples = case
+    want_rows, want_feats = oracles.sine_features_by_rows(pts, triples)
+    got_rows, got_feats = affinity._sine_features(pts, triples)
+    assert got_rows.dtype == want_rows.dtype
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert got_feats.shape == want_feats.shape
+    assert got_feats.tobytes() == want_feats.tobytes()
+    if len(want_rows) == len(triples):
+        # Nothing degenerate: the triples come back as they are.
+        assert got_rows is triples
+
+
 class TestBuildTensor:
     def test_identical_sets_have_unit_identity_entries(self):
         P = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.1], [-0.8, 0.6]])
@@ -269,6 +307,15 @@ def test_enumerated_scene_sets_are_the_lexicographic_combinations(n2):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n2", range(3, 61))
+def test_pair_listed_scene_sets_equal_argwhere(n2):
+    want = oracles.scene_sets_by_argwhere(n2)
+    got = affinity._scene_triple_sets(np.random.default_rng(0), n2)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def scene_sets_by_the_raw_draw_mask(rng, n2, cap):
     """The sampled scene sets, one rule at a time: a mask that drops the raw
     draws with a repeated vertex, a row sort, then ``np.unique``."""
@@ -298,6 +345,32 @@ def test_sampled_scene_sets_equal_the_raw_draw_mask(seed, n2, data):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+BITMAP_BOUND = affinity._SCENE_BITMAP_MAX_N2
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n2=st.sampled_from([5, 40, *range(BITMAP_BOUND - 2, BITMAP_BOUND + 3)]),
+    cap=st.integers(1, 3000),
+)
+def test_bitmap_scene_sets_equal_the_unique_rows_path(seed, n2, cap):
+    # Each n2 runs both ways: marked in the n2**3 bitmap and ranked by
+    # unique_rows; the bound only chooses between them.
+    got = {}
+    for name, bound in (("bitmap", n2), ("unique_rows", n2 - 1)):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(affinity, "Q_TRIPLE_CAP", min(cap, math.comb(n2, 3) - 1))
+            patch.setattr(affinity, "_SCENE_BITMAP_MAX_N2", bound)
+            got[name] = (affinity._scene_triple_sets(rng, n2), rng.bit_generator.state)
+    (bitmap, bitmap_state), (ranked, ranked_state) = got["bitmap"], got["unique_rows"]
+    assert bitmap.dtype == ranked.dtype
+    assert bitmap.shape == ranked.shape
+    assert bitmap.tobytes() == ranked.tobytes()
+    assert bitmap_state == ranked_state
 
 
 def test_sampler_stops_only_before_an_enumerated_scene(monkeypatch):
@@ -472,6 +545,52 @@ class TestKnn:
         with pytest.MonkeyPatch.context() as monkeypatch:
             for route, sel in knn_on_each_route(monkeypatch, q_feats, p_feats, k).items():
                 np.testing.assert_array_equal(sel, brute, err_msg=route)
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sets=st.integers(1, 40),
+    n_tmpl=st.integers(1, 6),
+    n_cand=st.integers(1, 12),
+    data=st.data(),
+)
+def test_nearest_rows_equal_the_nine_gathers(seed, n_sets, n_tmpl, n_cand, data):
+    # Features from a few values tie often, which argpartition must break
+    # the same way on the same distances.
+    rng = np.random.default_rng(seed)
+    q_feats = rng.choice([0.25, 0.5, 0.75, 1.0], (n_sets, 3)) * rng.random((n_sets, 1))
+    p_feats = rng.random((n_tmpl, 3))
+    sets = rng.integers(0, n_sets, (n_tmpl, n_cand))
+    k = data.draw(st.integers(1, 6 * n_cand))
+    want = oracles.nearest_rows_nine_gathers(q_feats, p_feats, sets, k)
+    got = affinity._nearest_rows(q_feats, p_feats, sets, k)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sets=st.integers(1, 40),
+    n_tmpl=st.integers(1, 6),
+    k=st.integers(1, 30),
+    fortran=st.booleans(),
+)
+def test_kept_rows_equal_the_row_gather(seed, n_sets, n_tmpl, k, fortran):
+    rng = np.random.default_rng(seed)
+    q_sets = rng.integers(0, 100, (n_sets, 3)).astype(np.intp)
+    if fortran:
+        q_sets = np.asfortranarray(q_sets)
+    q_feats = rng.random((n_sets, 3))
+    p_feats = rng.random((n_tmpl, 3))
+    sel = rng.integers(0, 6 * n_sets, (n_tmpl, k)).astype(np.intp)
+    want_rows, want_dist2 = oracles.kept_rows_by_row_gather(q_sets, q_feats, p_feats, sel)
+    got_rows, got_dist2 = affinity._kept_rows(q_sets, q_feats, p_feats, sel)
+    assert got_rows.dtype == want_rows.dtype
+    assert got_rows.shape == want_rows.shape
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert got_dist2.tobytes() == want_dist2.tobytes()
 
 
 # Squared distances of features in [0, 1] are at most 3; a few ulps of that.

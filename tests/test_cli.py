@@ -466,7 +466,7 @@ class TestMethodRegistry:
         ref = run_method(method, case.tensor)
 
         (record,) = run_grid(spec)
-        assignment, _ = harness._run_method(method, case, None, spec)
+        assignment, _ = harness._run_method(method, case, None)
         assert assignment.cols == ref.assignment.cols
         assert (record.score3, record.iterations) == (ref.score3, ref.outer_iterations)
 

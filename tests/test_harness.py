@@ -202,7 +202,7 @@ class TestRunGrid:
                 from hypermatch import build_matrix2
 
                 matrix2 = build_matrix2(case.P, case.Q, spec.affinity)
-            assignment, _ = harness._run_method(rec.method, case, matrix2, spec)
+            assignment, _ = harness._run_method(rec.method, case, matrix2)
             assert rec.score3 == pytest.approx(
                 case.tensor.score(assignment.indicator()), rel=1e-10
             )

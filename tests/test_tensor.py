@@ -19,7 +19,7 @@ from hypermatch import (
     f4_norm_exact,
 )
 from hypermatch import bcagm
-from hypermatch.tensor import DENSE_MATRIX_LIMIT, unique_rows
+from hypermatch.tensor import DENSE_MATRIX_LIMIT, _sort_rows, unique_rows
 from test_affinity import scene_instance
 
 
@@ -47,6 +47,12 @@ class TestConstruction:
         assert t.nnz == 2
         assert t.idx.tolist() == [[0, 1, 3], [2, 4, 5]]
         np.testing.assert_allclose(t.val, [3.0, 0.5])
+
+    def test_leaves_the_callers_triples_as_they_are(self):
+        # The rows are sorted in a copy: an intp array reaches unique_rows as it is.
+        triples = np.array([[3, 1, 0], [5, 4, 2]], dtype=np.intp)
+        SparseSymmetricTensor3(MatchingShape(2, 3), triples, [1.0, 2.0])
+        assert triples.tolist() == [[3, 1, 0], [5, 4, 2]]
 
     # n = 2 250 000 exceeds 2**21, so the last shape's rows are ranked by
     # np.lexsort rather than by the int64 key.
@@ -376,6 +382,34 @@ def test_unique_rows_equals_np_unique_of_the_sorted_rows(rows):
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert inverse.tobytes() == want_inverse.reshape(-1).astype(np.intp).tobytes()
+
+
+@st.composite
+def row_arrays(draw):
+    """(N, 3) arrays, N = 0 included, of nonnegative integers of several
+    widths or of nonnegative floats; entries come from a small pool, so rows
+    repeat entries, and all-zero rows come up."""
+    dtype = draw(st.sampled_from([np.intp, np.int32, np.uint8, np.float64]))
+    if dtype is np.float64:
+        values = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+    else:
+        values = st.integers(0, int(np.iinfo(dtype).max))
+    pool = draw(st.lists(values, min_size=1, max_size=4)) + [dtype(0)]
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * 3), max_size=60))
+    return np.array(rows, dtype=dtype).reshape(-1, 3)
+
+
+@SETTINGS
+@given(rows=row_arrays(), fortran=st.booleans())
+def test_row_network_equals_np_sort(rows, fortran):
+    want = oracles.sorted_rows(rows)
+    rows = np.array(rows, order="F" if fortran else "C")
+    got = _sort_rows(rows)
+    # Sorted in place, in either layout.
+    assert got is rows
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @SETTINGS
