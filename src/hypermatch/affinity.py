@@ -35,10 +35,6 @@ Q_TRIPLE_CAP = 200_000
 # features rather than one over all six vertex orders of each; the two routes
 # break even near 8 000 sets on one BLAS thread.
 _SORTED_TREE_MIN_SETS = 8_000
-# Up to this many scene points, a sampled scene's distinct sets are marked in a
-# boolean array of n2**3 bytes (10.6 MB here) rather than ranked by
-# unique_rows; the two break even near 220 points on one thread.
-_SCENE_BITMAP_MAX_N2 = 220
 
 
 @dataclass(frozen=True)
@@ -182,19 +178,7 @@ def _scene_triple_sets(rng: np.random.Generator, n2: int) -> np.ndarray:
         sets[:, 2] = np.arange(total) - np.repeat(shift, count)
         return sets
     draws = rng.integers(0, n2, size=(Q_TRIPLE_CAP, 3)).astype(np.intp, copy=False)
-    if n2 <= _SCENE_BITMAP_MAX_N2:
-        # The key (a*n2 + b)*n2 + c ranks sorted sets lexicographically, so
-        # the marked keys list the distinct sets in order, with no sort.
-        draws = _sort_rows(draws)
-        seen = np.zeros(n2**3, dtype=bool)
-        seen[(draws[:, 0] * n2 + draws[:, 1]) * n2 + draws[:, 2]] = True
-        del draws
-        ab, c = np.divmod(np.flatnonzero(seen), n2)
-        sets = np.empty((len(c), 3), dtype=np.intp, order="F")
-        sets[:, 0], sets[:, 1] = np.divmod(ab, n2)
-        sets[:, 2] = c
-    else:
-        sets = unique_rows(draws)[0]
+    sets = unique_rows(draws)[0]
     # A sorted row with a repeated vertex repeats it in neighbouring columns.
     return sets[(sets[:, 0] != sets[:, 1]) & (sets[:, 1] != sets[:, 2])]
 
@@ -281,26 +265,17 @@ def _knn_by_sorted_sets(q_feats: np.ndarray, p_feats: np.ndarray, k: int) -> np.
     tied = d2[:, m] <= limit if m < n_sets else np.zeros(n_tmpl, dtype=bool)
     d2, sets = d2[:, :m], sets[:, :m]
 
-    # floor = d2 + 2 min(ac, bd), below which no other order of a set comes;
-    # built in place, one candidate array at a time.
     a, b = p_sorted[:, 1] - p_sorted[:, 0], p_sorted[:, 2] - p_sorted[:, 1]
-    floor = np.take(q_sorted[:, 1] - q_sorted[:, 0], sets)
-    floor *= a[:, None]
-    bd = np.take(q_sorted[:, 2] - q_sorted[:, 1], sets)
-    bd *= b[:, None]
-    np.minimum(floor, bd, out=floor)
-    del bd
-    floor *= 2
-    floor += d2
-    done = (k == m) & ~tied & np.all(floor > limit[:, None], axis=1)
+    c, d = (q_sorted[:, 1] - q_sorted[:, 0])[sets], (q_sorted[:, 2] - q_sorted[:, 1])[sets]
+    bound = 2 * np.minimum(a[:, None] * c, b[:, None] * d)
+    done = (k == m) & ~tied & np.all(d2 + bound > limit[:, None], axis=1)
     sel = np.empty((n_tmpl, k), dtype=np.intp)
     # aligned[x, y] pairs each template rank, placed by argsort order y, with
     # the same set rank, placed by argsort order x.
     perms = _VERTEX_ORDERS[:, np.argsort(_VERTEX_ORDERS, axis=1)]
     aligned = 2 * perms[..., 0] + (perms[..., 1] > perms[..., 2])
     # A done template has k == m; the slice only fits the empty case k > m.
-    near = sets[done]
-    sel[done, :m] = 6 * near + aligned[q_code[near], p_code[done, None]]
+    sel[done, :m] = 6 * sets[done] + aligned[q_code[sets[done]], p_code[done, None]]
     expand = ~done & ~tied
     sel[expand] = _nearest_rows(q_feats, p_feats[expand], sets[expand], k)
     for t in np.flatnonzero(tied):
@@ -336,18 +311,12 @@ def _kept_rows(q_sets: np.ndarray, q_feats: np.ndarray, p_feats: np.ndarray, sel
     (squared coordinate differences, added in coordinate order) whatever
     finds the neighbours."""
     sets, orders = np.divmod(sel, 6)
-    base = 3 * sets
-    flat_sets, flat_feats = q_sets.ravel(), q_feats.ravel()
-    q_rows = np.empty((sel.size, 3), dtype=np.intp, order="F")
+    # Flat positions in q_sets and q_feats of each kept set's vertices, in its order.
+    at = 3 * sets[..., None] + _VERTEX_ORDERS[orders]
     dist2 = np.zeros(sel.shape)
     for j in range(3):
-        # Flat position in q_sets and q_feats of each kept set's vertex j, in its order.
-        at = base + np.take(_VERTEX_ORDERS[:, j], orders)
-        gap = np.take(flat_feats, at)
-        gap -= p_feats[:, j, None]
-        dist2 += np.square(gap, out=gap)
-        q_rows[:, j] = np.take(flat_sets, at).reshape(-1)
-    return q_rows, dist2.reshape(-1)
+        dist2 += (q_feats.ravel()[at[..., j]] - p_feats[:, j, None]) ** 2
+    return q_sets.ravel()[at].reshape(-1, 3), dist2.reshape(-1)
 
 
 def build_tensor(

@@ -140,11 +140,11 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del key
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    # Gathered one contiguous column at a time, so no temporary holds every row.
+    # Gathered one column at a time, so no temporary holds every row.
     sel = order[first]
     distinct = np.empty((len(sel), 3), dtype=rows.dtype, order="F")
     for c in range(3):
-        np.take(rows[:, c], sel, out=distinct[:, c])
+        distinct[:, c] = rows[sel, c]
     return distinct, inverse
 
 

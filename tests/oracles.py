@@ -64,14 +64,6 @@ def sorted_rows(rows) -> np.ndarray:
     return np.sort(rows, axis=1)
 
 
-def scene_sets_by_argwhere(n2: int) -> np.ndarray:
-    """Every triple set of ``n2`` scene points in lexicographic order, as the
-    nonzeros of the strict ``a < b < c`` mask of ``n2**3`` entries: the
-    enumerated scene before it was listed pair by pair."""
-    a, b, c = np.ogrid[:n2, :n2, :n2]
-    return np.argwhere((a < b) & (b < c))
-
-
 def sine_features_by_rows(points: np.ndarray, triples: np.ndarray):
     """``affinity._sine_features`` from ``(S, 2)`` row gathers of the rescaled
     points, the measurable rows always taken through the mask."""
@@ -108,17 +100,6 @@ def nearest_rows_nine_gathers(q_feats, p_feats, sets, k: int) -> np.ndarray:
         np.add(sq[0][o0] + sq[1][o1], sq[2][o2], out=dist2[:, o])
     pick = np.argpartition(dist2.reshape(len(sets), 6 * n_cand), k - 1, axis=1)[:, :k]
     return 6 * np.take_along_axis(sets, pick % n_cand, axis=1) + pick // n_cand
-
-
-def kept_rows_by_row_gather(q_sets, q_feats, p_feats, sel):
-    """``affinity._kept_rows`` from one ``(T, k, 3)`` array of flat positions,
-    each kept set's vertex orders gathered as rows of ``_VERTEX_ORDERS``."""
-    sets, orders = np.divmod(sel, 6)
-    at = 3 * sets[..., None] + affinity._VERTEX_ORDERS[orders]
-    dist2 = np.zeros(sel.shape)
-    for j in range(3):
-        dist2 += (q_feats.ravel()[at[..., j]] - p_feats[:, j, None]) ** 2
-    return q_sets.ravel()[at].reshape(-1, 3), dist2.reshape(-1)
 
 
 def dense_from_orbits(n: int, orbits) -> np.ndarray:

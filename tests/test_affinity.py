@@ -298,18 +298,9 @@ def test_sampler_equals_the_all_draws_loop(case, stop):
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("n2", [3, 4, 5, 17, 50])
+@pytest.mark.parametrize("n2", range(3, 61))
 def test_enumerated_scene_sets_are_the_lexicographic_combinations(n2):
     want = np.array(list(itertools.combinations(range(n2), 3)), dtype=np.intp)
-    got = affinity._scene_triple_sets(np.random.default_rng(0), n2)
-    assert got.dtype == want.dtype
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("n2", range(3, 61))
-def test_pair_listed_scene_sets_equal_argwhere(n2):
-    want = oracles.scene_sets_by_argwhere(n2)
     got = affinity._scene_triple_sets(np.random.default_rng(0), n2)
     assert got.dtype == want.dtype
     assert got.shape == want.shape
@@ -345,32 +336,6 @@ def test_sampled_scene_sets_equal_the_raw_draw_mask(seed, n2, data):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == want_rng.bit_generator.state
-
-
-BITMAP_BOUND = affinity._SCENE_BITMAP_MAX_N2
-
-
-@settings(max_examples=40)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n2=st.sampled_from([5, 40, *range(BITMAP_BOUND - 2, BITMAP_BOUND + 3)]),
-    cap=st.integers(1, 3000),
-)
-def test_bitmap_scene_sets_equal_the_unique_rows_path(seed, n2, cap):
-    # Each n2 runs both ways: marked in the n2**3 bitmap and ranked by
-    # unique_rows; the bound only chooses between them.
-    got = {}
-    for name, bound in (("bitmap", n2), ("unique_rows", n2 - 1)):
-        rng = np.random.default_rng(seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(affinity, "Q_TRIPLE_CAP", min(cap, math.comb(n2, 3) - 1))
-            patch.setattr(affinity, "_SCENE_BITMAP_MAX_N2", bound)
-            got[name] = (affinity._scene_triple_sets(rng, n2), rng.bit_generator.state)
-    (bitmap, bitmap_state), (ranked, ranked_state) = got["bitmap"], got["unique_rows"]
-    assert bitmap.dtype == ranked.dtype
-    assert bitmap.shape == ranked.shape
-    assert bitmap.tobytes() == ranked.tobytes()
-    assert bitmap_state == ranked_state
 
 
 def test_sampler_stops_only_before_an_enumerated_scene(monkeypatch):
@@ -567,30 +532,6 @@ def test_nearest_rows_equal_the_nine_gathers(seed, n_sets, n_tmpl, n_cand, data)
     got = affinity._nearest_rows(q_feats, p_feats, sets, k)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
-
-
-@settings(max_examples=150)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_sets=st.integers(1, 40),
-    n_tmpl=st.integers(1, 6),
-    k=st.integers(1, 30),
-    fortran=st.booleans(),
-)
-def test_kept_rows_equal_the_row_gather(seed, n_sets, n_tmpl, k, fortran):
-    rng = np.random.default_rng(seed)
-    q_sets = rng.integers(0, 100, (n_sets, 3)).astype(np.intp)
-    if fortran:
-        q_sets = np.asfortranarray(q_sets)
-    q_feats = rng.random((n_sets, 3))
-    p_feats = rng.random((n_tmpl, 3))
-    sel = rng.integers(0, 6 * n_sets, (n_tmpl, k)).astype(np.intp)
-    want_rows, want_dist2 = oracles.kept_rows_by_row_gather(q_sets, q_feats, p_feats, sel)
-    got_rows, got_dist2 = affinity._kept_rows(q_sets, q_feats, p_feats, sel)
-    assert got_rows.dtype == want_rows.dtype
-    assert got_rows.shape == want_rows.shape
-    assert got_rows.tobytes() == want_rows.tobytes()
-    assert got_dist2.tobytes() == want_dist2.tobytes()
 
 
 # Squared distances of features in [0, 1] are at most 3; a few ulps of that.
