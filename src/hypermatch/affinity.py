@@ -44,9 +44,7 @@ class SamplingConfig:
     ``triples_per_point * n1`` triples are drawn from the template set (the
     distinct ones are kept); every drawn triple retains its ``knn`` nearest
     scene triangles in feature space.  Scene triple sets are enumerated
-    exhaustively up to ``Q_TRIPLE_CAP`` and sampled beyond that.  With an
-    enumerated scene, the template draws stop once every template triple
-    has come up, which leaves the kept triples as they are.
+    exhaustively up to ``Q_TRIPLE_CAP`` and sampled beyond that.
     """
 
     triples_per_point: int = 50
@@ -136,29 +134,25 @@ def _sine_features(points: np.ndarray, triples: np.ndarray):
     return triples[valid], feats[valid]
 
 
-def _sample_sorted_triples(
-    rng: np.random.Generator, m: int, count: int, stop_when_complete: bool
-) -> np.ndarray:
+def _sample_sorted_triples(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     """Uniform triples of distinct indices, canonicalized and deduplicated.
 
-    With ``stop_when_complete``, the draws end once all C(m, 3) triples have
-    come up: later draws cannot change the result, only ``rng``'s state.
+    The triples are those of ``count`` calls ``rng.choice(m, 3,
+    replace=False)``, drawn by one ``rng.integers`` call that leaves ``rng``
+    in the same state.  For three of ``m`` items numpy's ``choice`` runs
+    Floyd's algorithm: draws on ``[0, m-3]``, ``[0, m-2]`` and ``[0, m-1]``,
+    where a value already taken is replaced by the draw's bound, then a
+    Fisher-Yates shuffle that draws on ``[0, 2]`` and ``[0, 1]``.  Each is one
+    bounded draw, and ``integers`` makes the same draw per element, in C
+    order, when given one bound per column.  The shuffle's draws are dropped:
+    ``unique_rows`` sorts each row.
     """
-    # Allocated up front, so an unallocatable count fails at once.
-    draws = np.empty((count, 3), dtype=np.intp)
-    total = math.comb(m, 3)
-    # The triple's bit set is a key that needs no sort.
-    seen = set() if stop_when_complete and total <= count else None
-    for row in range(count):
-        triple = rng.choice(m, size=3, replace=False)
-        draws[row] = triple
-        if seen is not None:
-            a, b, c = triple.tolist()
-            seen.add((1 << a) | (1 << b) | (1 << c))
-            if len(seen) == total:
-                draws = draws[: row + 1]
-                break
-    return unique_rows(draws)[0]
+    # An unallocatable count fails here, before any draw.
+    u = rng.integers(0, (m - 2, m - 1, m, 3, 2), size=(count, 5))
+    a, b, c = u[:, 0], u[:, 1], u[:, 2]
+    b[b == a] = m - 2
+    c[(c == a) | (c == b)] = m - 1
+    return unique_rows(u[:, :3])[0]
 
 
 def _scene_triple_sets(rng: np.random.Generator, n2: int) -> np.ndarray:
@@ -342,10 +336,8 @@ def build_tensor(
     shape = MatchingShape(n1, n2)
     rng = np.random.default_rng(sc.seed)
 
-    # An enumerated scene draws nothing, so the template sampler may stop once
-    # it has every triple; a sampled scene draws from the same stream after it.
-    scene_enumerated = math.comb(n2, 3) <= Q_TRIPLE_CAP
-    p_triples = _sample_sorted_triples(rng, n1, int(sc.triples_per_point) * n1, scene_enumerated)
+    # A sampled scene draws from the same stream, after the template.
+    p_triples = _sample_sorted_triples(rng, n1, int(sc.triples_per_point) * n1)
     p_triples, p_feats = _sine_features(P, p_triples)
     q_sets, q_feats = _sine_features(Q, _scene_triple_sets(rng, n2))
 

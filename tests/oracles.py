@@ -292,26 +292,13 @@ def knn_brute(pool_feat: np.ndarray, p_feats: np.ndarray, k: int) -> np.ndarray:
 
 
 def sample_sorted_triples_all_draws(rng, m: int, count: int) -> np.ndarray:
-    """``affinity._sample_sorted_triples`` as it was before it could stop:
-    always ``count`` draws, distinct rows by ``np.unique``."""
+    """``affinity._sample_sorted_triples`` by ``count`` calls
+    ``rng.choice(m, 3, replace=False)``, distinct rows by ``np.unique``."""
     draws = np.empty((count, 3), dtype=np.intp)
     for row in range(count):
         draws[row] = rng.choice(m, size=3, replace=False)
     draws.sort(axis=1)
     return np.unique(draws, axis=0)
-
-
-def draws_until_complete(seed: int, m: int, count: int) -> int:
-    """How many of ``count`` draws from ``default_rng(seed)`` it takes until
-    every one of the C(m, 3) triples has come up; ``count`` if they never do."""
-    rng = np.random.default_rng(seed)
-    total = len(list(itertools.combinations(range(m), 3)))
-    seen = set()
-    for row in range(count):
-        seen.add(tuple(sorted(rng.choice(m, size=3, replace=False).tolist())))
-        if len(seen) == total:
-            return row + 1
-    return count
 
 
 def canonical_orbits(triples, values):

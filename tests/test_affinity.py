@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -275,26 +275,37 @@ class TestBuildTensor:
 
 @st.composite
 def sampler_cases(draw):
-    """``(seed, m, count)``: counts below, at and above C(m, 3)."""
-    m = draw(st.integers(3, 12))
-    count = draw(st.integers(1, 6 * math.comb(m, 3)))
+    """``(seed, m, count)``: small ``m`` with counts below, at and above
+    C(m, 3), or large ``m`` with a few draws."""
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 12))
+        count = draw(st.integers(1, 6 * math.comb(m, 3)))
+    else:
+        m = draw(st.sampled_from([9_999, 10_000, 10_001, 2**20]))
+        count = draw(st.integers(1, 40))
     return draw(st.integers(0, 2**32 - 1)), m, count
 
 
 @settings(max_examples=150)
-@given(case=sampler_cases(), stop=st.booleans())
-def test_sampler_equals_the_all_draws_loop(case, stop):
+@given(case=sampler_cases())
+# m = 3 draws first on [0, 0], which consumes nothing; Generator.choice tests
+# m > 10000 before it picks Floyd's algorithm.
+@example(case=(0, 3, 1))
+@example(case=(5, 3, 40))
+@example(case=(1, 9_999, 7))
+@example(case=(2, 10_000, 7))
+@example(case=(3, 10_001, 7))
+@example(case=(4, 2**20, 3))
+def test_sampler_equals_the_all_draws_loop(case):
+    # One rng.integers call replays count rng.choice calls: the same
+    # triples, and the generator ends in the same state.
     seed, m, count = case
     want_rng = np.random.default_rng(seed)
     want = oracles.sample_sorted_triples_all_draws(want_rng, m, count)
     rng = np.random.default_rng(seed)
-    got = affinity._sample_sorted_triples(rng, m, count, stop)
+    got = affinity._sample_sorted_triples(rng, m, count)
+    assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
-    if stop:
-        # Stopped right after the draw that completed the set, or never.
-        want_rng = np.random.default_rng(seed)
-        for _ in range(oracles.draws_until_complete(seed, m, count)):
-            want_rng.choice(m, size=3, replace=False)
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -338,23 +349,29 @@ def test_sampled_scene_sets_equal_the_raw_draw_mask(seed, n2, data):
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_sampler_stops_only_before_an_enumerated_scene(monkeypatch):
-    # 10 scene points give C(10, 3) = 120 triple sets: enumerated at a cap
-    # of 120, sampled from the template's stream at 119, where the template
-    # sampler must make every draw.
-    calls = []
-    sample = affinity._sample_sorted_triples
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampled_scene_draws_after_every_template_draw(monkeypatch, seed):
+    # 10 scene points give C(10, 3) = 120 triple sets, sampled at a cap of
+    # 119 from the stream that the template's 4 points leave after all
+    # 50 * 4 draws, though each of their 4 triples comes up far sooner.
+    drawn = []
+    scene_triple_sets = affinity._scene_triple_sets
 
-    def record(rng, m, count, stop_when_complete):
-        calls.append(stop_when_complete)
-        return sample(rng, m, count, stop_when_complete)
+    def record(rng, n2):
+        drawn.append(scene_triple_sets(rng, n2))
+        return drawn[-1]
 
-    monkeypatch.setattr(affinity, "_sample_sorted_triples", record)
+    monkeypatch.setattr(affinity, "_scene_triple_sets", record)
+    monkeypatch.setattr(affinity, "Q_TRIPLE_CAP", math.comb(10, 3) - 1)
     P, Q = scene_instance(26, 4, 6)
-    for cap in (math.comb(10, 3), math.comb(10, 3) - 1):
-        monkeypatch.setattr(affinity, "Q_TRIPLE_CAP", cap)
-        build_tensor(P, Q)
-    assert calls == [True, False]
+    sampling = SamplingConfig(seed=seed)
+    build_tensor(P, Q, sampling)
+    rng = np.random.default_rng(seed)
+    for _ in range(sampling.triples_per_point * len(P)):
+        rng.choice(len(P), size=3, replace=False)
+    want = scene_triple_sets(rng, len(Q))
+    assert len(drawn) == 1
+    assert drawn[0].tobytes() == want.tobytes()
 
 
 def scene_instance(seed, n_in, n_out, sigma=0.03):

@@ -105,7 +105,7 @@ class TestMatch:
         assert err.startswith("hypermatch: invalid problem:")
         assert err.count("\n") == 1
 
-    # 10**15 triples per point on 4 points asks for 85.3 PiB, more than any
+    # 10**15 triples per point on 4 points asks for 142 PiB of draws, more than any
     # 64-bit address space holds, so the allocation fails at once.
     @pytest.mark.parametrize(
         "options, flags",
