@@ -15,6 +15,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "DENSE_MATRIX_LIMIT",
@@ -162,7 +163,8 @@ class SparseSymmetricTensor3:
     evaluations are bit-identical.
     """
 
-    __slots__ = ("shape", "idx", "val")
+    # _incidence is None on every tensor the constructor makes; see _with_incidence.
+    __slots__ = ("shape", "idx", "val", "_incidence")
 
     def __init__(self, shape: MatchingShape, triples=None, values=None):
         n = shape.n
@@ -198,6 +200,39 @@ class SparseSymmetricTensor3:
         self.shape = shape
         self.idx = idx
         self.val = val
+        self._incidence = None
+
+    def _with_incidence(self) -> SparseSymmetricTensor3:
+        """A new tensor that shares this one's ``shape``, ``idx`` and ``val``
+        and carries one incidence matrix per mode, for callers that make
+        many full passes.
+
+        The matrix of mode ``m`` is a CSR array of shape ``(n, nnz)`` with a
+        1.0 at ``(idx[o, m], o)`` for each orbit ``o``, the orbits of each
+        row in stored order.  Column 0 of ``idx`` is sorted, so its matrix
+        lists the orbits as they are; the other two take a stable argsort.
+        This tensor is left as it is, and the constructor is not called.
+        """
+        n, nnz = self.shape.n, self.nnz
+        index = np.int32 if max(n, nnz) < 2**31 else np.intp
+        # A stable argsort of 16-bit keys is a radix sort.
+        key = np.int16 if n <= 2**15 else index
+        # One array of ones serves as the data of all three matrices.
+        ones = np.ones(nnz)
+        mats = []
+        for m in range(3):
+            col = self.idx[:, m]
+            if m == 0:
+                orbits = np.arange(nnz, dtype=index)
+            else:
+                orbits = np.argsort(col.astype(key), kind="stable").astype(index)
+            indptr = np.zeros(n + 1, dtype=index)
+            indptr[1:] = np.cumsum(np.bincount(col, minlength=n))
+            mats.append(sparse.csr_array((ones, orbits, indptr), shape=(n, nnz)))
+        twin = object.__new__(SparseSymmetricTensor3)
+        twin.shape, twin.idx, twin.val = self.shape, self.idx, self.val
+        twin._incidence = tuple(mats)
+        return twin
 
     @property
     def nnz(self) -> int:
@@ -234,6 +269,13 @@ class SparseSymmetricTensor3:
         matching, only the other orbits are visited, in stored order;
         ``bincount`` then adds the same nonzero terms in the same order, so
         the result is bit-identical to a full pass.
+
+        When no orbit is skipped and the tensor carries incidence matrices
+        (:meth:`_with_incidence`), each mode's sum is that matrix times the
+        weights.  A CSR product adds each row's terms in its stored order,
+        the orbit order, starting from 0.0, as ``bincount`` does, and its
+        data is 1.0, so each product is exact even where the multiply and
+        add are fused: the result has the same bytes.
         """
         n = self.shape.n
         same = y is x
@@ -241,12 +283,15 @@ class SparseSymmetricTensor3:
         y = x if same else _as_vector(y, n, "y")
         i, j, k = self.idx.T
         val = self.val
+        incidence = self._incidence
         inside = x != 0.0 if same else (x != 0.0) | (y != 0.0)
         if not inside.all():
             # Summed as uint8, since bool addition is a logical or.
             count = inside.view(np.uint8)
             keep = np.flatnonzero(count[i] + count[j] + count[k] >= 2)
-            i, j, k, val = i[keep], j[keep], k[keep], val[keep]
+            if keep.size < val.size:
+                i, j, k, val = i[keep], j[keep], k[keep], val[keep]
+                incidence = None
         if not val.size:
             # bincount of no terms gives integer zeros.
             return np.zeros(n)
@@ -264,6 +309,12 @@ class SparseSymmetricTensor3:
             np.add(w, t, out=w)
             return np.multiply(w, val, out=w)
 
+        if incidence is not None:
+            s0, s1, s2 = incidence
+            out = s0 @ weights(1, 2)
+            out += s1 @ weights(0, 2)
+            out += s2 @ weights(0, 1)
+            return out
         out = np.bincount(i, weights=weights(1, 2), minlength=n)
         out += np.bincount(j, weights=weights(0, 2), minlength=n)
         out += np.bincount(k, weights=weights(0, 1), minlength=n)

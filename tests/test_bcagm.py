@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ from hypermatch import (
     run_method,
 )
 from hypermatch.bcagm import TENSOR_METHODS
-from test_golden import solution_doc
+from test_affinity import scene_instance
+from test_golden import SOLUTION_DIGESTS, solution_doc
 from test_tensor import random_tensors
 
 def identity_tensor(n=3, value=1.0):
@@ -458,6 +461,79 @@ class TestHopmBaseline:
         sol = hopm_baseline(t)
         assert sol.trace.terminated == "max_iters"
         assert sol.outer_iterations == 1
+
+
+class TestHopmIncidence:
+    """From ``_INCIDENCE_MIN_NNZ`` orbits hopm iterates on the tensor's
+    incidence view, with the bytes of the plain passes."""
+
+    @staticmethod
+    def with_and_without_the_view(t):
+        docs, views = [], []
+        kernel = SparseSymmetricTensor3._with_incidence
+        for gate in (0, 2**62):
+
+            def counted(self, gate=gate):
+                views.append(gate)
+                return kernel(self)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(bcagm_module, "_INCIDENCE_MIN_NNZ", gate)
+                m.setattr(SparseSymmetricTensor3, "_with_incidence", counted)
+                docs.append(solution_doc(hopm_baseline(t)))
+        assert views == [0]
+        return docs
+
+    @settings(max_examples=100)
+    @given(t=random_tensors())
+    def test_same_solution_on_random_tensors(self, t):
+        with_view, without = self.with_and_without_the_view(t)
+        assert with_view == without
+
+    @pytest.mark.parametrize("seed, n_in, n_out", list(SOLUTION_DIGESTS))
+    def test_same_solution_on_built_tensors(self, seed, n_in, n_out):
+        t = build_tensor(*scene_instance(seed, n_in, n_out))
+        with_view, without = self.with_and_without_the_view(t)
+        assert with_view == without
+        assert t._incidence is None
+
+    def test_threads_sharing_a_tensor_agree(self):
+        t = build_tensor(*scene_instance(21, 10, 30))
+        assert t.nnz >= bcagm_module._INCIDENCE_MIN_NNZ
+        expected = solution_doc(hopm_baseline(t))
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def work(slot):
+            start.wait(timeout=10)
+            results[slot] = solution_doc(hopm_baseline(t))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert results == [expected, expected]
+        assert t._incidence is None
+
+    def test_block_solvers_never_build_the_view(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("_with_incidence called")
+
+        monkeypatch.setattr(bcagm_module, "_INCIDENCE_MIN_NNZ", 0)
+        monkeypatch.setattr(SparseSymmetricTensor3, "_with_incidence", refuse)
+        t = build_tensor(*scene_instance(22, 10, 40))
+        bcagm_solve(t)
+        for subroutine in ("ipfp", "mpm"):
+            bcagm_psi_solve(t, SolverConfig(variant="bcagm_psi", subroutine=subroutine))
+        with pytest.raises(AssertionError, match="_with_incidence"):
+            hopm_baseline(t)
 
 
 class TestDispatcher:

@@ -330,6 +330,90 @@ def test_contract_vec_bytes_equal_the_full_pass(case):
     assert t.contract_vec(y, x).tobytes() == expected
 
 
+@st.composite
+def incidence_case(draw):
+    """A tensor and ``(x, y)``: each operand has no zero entry or comes from
+    ``vectors``, and ``y`` is ``x``, an equal copy, or drawn apart."""
+    t = draw(random_tensors())
+    n = t.shape.n
+
+    def operand():
+        if draw(st.booleans()):
+            return draw(vectors(t.shape))
+        nonzero = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False).filter(bool)
+        return np.array(draw(st.lists(nonzero, min_size=n, max_size=n)))
+
+    x = operand()
+    relation = draw(st.sampled_from(["same", "copy", "other"]))
+    if relation == "same":
+        return t, x, x
+    if relation == "copy":
+        return t, x, x.copy()
+    return t, x, operand()
+
+
+@SETTINGS
+@given(case=incidence_case())
+def test_incidence_view_bytes_equal_the_full_pass(case):
+    t, x, y = case
+    view = t._with_incidence()
+    expected = oracles.contract_vec_full(t, x, y).tobytes()
+    assert view.contract_vec(x, y).tobytes() == expected
+    assert view.contract_vec(y, x).tobytes() == expected
+    assert t._incidence is None
+
+
+class TestIncidenceView:
+    def test_shares_the_storage_and_leaves_the_tensor_alone(self, monkeypatch):
+        t = oracles.random_tensor(np.random.default_rng(6), MatchingShape(4, 7), 300)
+        idx, val = t.idx, t.val
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the constructor ran")
+
+        monkeypatch.setattr(SparseSymmetricTensor3, "__init__", refuse)
+        view = t._with_incidence()
+        assert type(view) is SparseSymmetricTensor3
+        assert view.shape is t.shape and view.idx is idx and view.val is val
+        assert t.idx is idx and t.val is val and t._incidence is None
+        for a in (idx, val):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_each_mode_lists_its_orbits_in_stored_order(self):
+        t = oracles.random_tensor(np.random.default_rng(7), MatchingShape(4, 7), 300)
+        n = t.shape.n
+        for m, s in enumerate(t._with_incidence()._incidence):
+            assert s.shape == (n, t.nnz)
+            assert s.indices.dtype == s.indptr.dtype == np.int32
+            assert s.data.tobytes() == np.ones(t.nnz).tobytes()
+            np.testing.assert_array_equal(np.diff(s.indptr), np.bincount(t.idx[:, m], minlength=n))
+            np.testing.assert_array_equal(s.indices, np.argsort(t.idx[:, m], kind="stable"))
+
+    def test_empty_tensor(self):
+        view = SparseSymmetricTensor3(MatchingShape(3, 4))._with_incidence()
+        assert [s.shape for s in view._incidence] == [(12, 0)] * 3
+        ones = np.ones(12)
+        assert view.contract_vec(ones, ones).tobytes() == np.zeros(12).tobytes()
+
+    # n = 2**15 is the widest index whose sort key is 16-bit; 40 000 needs a
+    # wider key, and its orbits cluster around 2**15.
+    @pytest.mark.parametrize("shape", [MatchingShape(128, 256), MatchingShape(2, 20000)])
+    def test_indices_at_the_edge_of_the_narrow_sort_key(self, shape):
+        rng = np.random.default_rng(8)
+        n = shape.n
+        near = rng.integers(max(0, 2**15 - 40), min(n, 2**15 + 40), size=(400, 3))
+        far = rng.integers(0, n, size=(100, 3))
+        rows = np.concatenate([near, far, [[0, n - 2, n - 1]]])
+        rows = rows[np.all(np.diff(np.sort(rows, axis=1), axis=1) > 0, axis=1)]
+        t = SparseSymmetricTensor3(shape, rows, rng.random(len(rows)))
+        view = t._with_incidence()
+        x, y = rng.standard_normal((2, n))
+        for a, b in ((x, y), (x, x), (y, x)):
+            assert view.contract_vec(a, b).tobytes() == oracles.contract_vec_full(t, a, b).tobytes()
+
+
 @SETTINGS
 @given(
     t=random_tensors(),
