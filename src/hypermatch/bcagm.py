@@ -17,7 +17,7 @@ import numpy as np
 
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
 from .qap import SUBROUTINES, _power_iterate, psi_with_guard
-from .tensor import LiftedOperator, SparseSymmetricTensor3, _check_number, alpha_bound
+from .tensor import LiftedOperator, SparseSymmetricTensor3, _check_number, _dot, alpha_bound
 
 __all__ = [
     "TENSOR_METHODS",
@@ -323,7 +323,7 @@ def bcagm_solve(tensor: SparseSymmetricTensor3, cfg: SolverConfig | None = None)
         profit = op.contract_vec(*others)
         a = solve_lap_max(reshape_to_profit(profit, shape))
         v = a.indicator()
-        return a, v, float(np.dot(profit, v))
+        return a, v, _dot(profit, v)
 
     return _ascent(tensor, 4, update)
 

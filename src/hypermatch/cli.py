@@ -171,9 +171,11 @@ def _cmd_match(args) -> int:
         raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from exc
 
     tensor = build_tensor(P, Q, sampling, params)
-    if tensor.nnz == 0:
+    # Empty or all zeros, every matching scores 0.
+    if not tensor.val.any():
         print(
-            "hypermatch: warning: the affinity tensor is empty; the assignment is a guess",
+            "hypermatch: warning: the affinity tensor has no positive entry; "
+            "the assignment is a guess",
             file=sys.stderr,
         )
     solution = run_method(method, tensor)

@@ -9,13 +9,14 @@ the two-block solver relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
-from .tensor import MatchingShape, _as_vector
+from .tensor import MatchingShape, _as_vector, _dot
 
 __all__ = ["QapResult", "MpmResult", "qap_objective", "ipfp", "mpm", "psi_with_guard"]
 
@@ -65,7 +66,7 @@ def _check_qap(A, n: int) -> np.ndarray:
 def qap_objective(A, assignment: AssignmentVector) -> float:
     """``<x, A x>`` for the assignment's indicator vector."""
     x = assignment.indicator()
-    return float(x @ (np.asarray(A, dtype=np.float64) @ x))
+    return _dot(x, np.asarray(A, dtype=np.float64) @ x)
 
 
 def ipfp(A, x0: AssignmentVector) -> QapResult:
@@ -82,7 +83,7 @@ def ipfp(A, x0: AssignmentVector) -> QapResult:
     x = x0.indicator()
     g = A @ x  # once per iterate: the start objective and each LAP profit
     best = x0
-    best_obj = float(x @ g)
+    best_obj = _dot(x, g)
     iterations = 0
     while True:
         b = solve_lap_max(reshape_to_profit(g, shape))
@@ -93,11 +94,11 @@ def ipfp(A, x0: AssignmentVector) -> QapResult:
             break  # b discretized the final iterate
         iterations += 1
         d = b.indicator() - x
-        ascent = float(g @ d)  # equals <x, A d> by symmetry
+        ascent = _dot(g, d)  # equals <x, A d> by symmetry
         if ascent <= 0.0:
             break  # fixed point of the projection
         Ad = A @ d
-        curvature = float(d @ Ad)
+        curvature = _dot(d, Ad)
         if curvature >= 0.0:
             step = 1.0
         else:
@@ -120,12 +121,13 @@ def _power_iterate(step, x, max_iter: int, tol: float) -> MpmResult:
     for _ in range(max_iter):
         iterations += 1
         new = step(x)
-        norm_new = float(np.linalg.norm(new))
+        norm_new = math.sqrt(_dot(new, new))
         if norm_new == 0.0:
             degenerate = True
             break
         new = new / norm_new
-        delta = float(np.linalg.norm(new - x))
+        moved = new - x
+        delta = math.sqrt(_dot(moved, moved))
         x = new
         if delta <= tol:
             converged = True
@@ -151,7 +153,7 @@ def mpm(A, shape: MatchingShape, x0=None) -> MpmResult:
     x0 = _as_vector(x0, n, "start vector")
     if np.any(x0 < 0.0):
         raise ValueError("start vector must be nonnegative")
-    norm0 = float(np.linalg.norm(x0))
+    norm0 = math.sqrt(_dot(x0, x0))
     if norm0 == 0.0:
         raise ValueError("start vector must be nonzero")
     n1, n2 = shape.n1, shape.n2

@@ -68,6 +68,12 @@ def _as_vector(x, n: int, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _dot(a, b) -> float:
+    """``a . b`` as numpy's pairwise sum of the elementwise product: one
+    fixed order and no BLAS, so the bytes do not depend on the thread count."""
+    return float(np.multiply(a, b).sum())
+
+
 def _as_indices(values, name: str) -> np.ndarray:
     """``values`` as ``intp`` indices; a non-empty array of a non-integer dtype is refused."""
     arr = np.asarray(values)
@@ -250,12 +256,13 @@ class SparseSymmetricTensor3:
         w = x[i]
         w *= x[j]
         w *= x[k]
-        return 6.0 * float(np.dot(self.val, w))
+        w *= self.val
+        return 6.0 * float(w.sum())
 
     def trilinear(self, x, y, z) -> float:
         """The symmetric trilinear form evaluated at three vectors: ``z . contract_vec(x, y)``."""
         z = _as_vector(z, self.shape.n, "z")
-        return float(z @ self.contract_vec(x, y))
+        return _dot(z, self.contract_vec(x, y))
 
     def contract_vec(self, x, y) -> np.ndarray:
         """Contract two modes: returns the vector ``l -> sum_ij T_ijl x_i y_j``.
@@ -356,7 +363,7 @@ class SparseSymmetricTensor3:
 
     def frobenius_norm(self) -> float:
         """Frobenius norm of the full symmetric tensor: ``sqrt(6 * sum v^2)``."""
-        return float(np.sqrt(6.0 * np.dot(self.val, self.val)))
+        return float(np.sqrt(6.0 * _dot(self.val, self.val)))
 
 
 @dataclass(frozen=True)
@@ -387,7 +394,7 @@ class LiftedOperator:
         Invariant under any permutation of the arguments.
         """
         t = _as_vector(t, self.n, "t")
-        return float(t @ self.contract_vec(x, y, z))
+        return _dot(t, self.contract_vec(x, y, z))
 
     def score(self, x) -> float:
         """Score function: the form on the diagonal, ``form(x, x, x, x)``.
@@ -396,7 +403,7 @@ class LiftedOperator:
         """
         # tensor.score checks x.
         x = np.asarray(x, dtype=np.float64)
-        return 4.0 * self.tensor.score(x) * float(x.sum()) + self.alpha * float(x @ x) ** 2
+        return 4.0 * self.tensor.score(x) * float(x.sum()) + self.alpha * _dot(x, x) ** 2
 
     def contract_vec(self, x, y, z) -> np.ndarray:
         """Gradient-direction contraction: the vector ``form(x, y, z, .)``."""
@@ -409,13 +416,13 @@ class LiftedOperator:
         cxz = tn.contract_vec(x, z)
         cyz = tn.contract_vec(y, z)
         # The copy that drops the output index is constant: trilinear(x, y, z).
-        out = np.full(n, float(z @ cxy))
+        out = np.full(n, _dot(z, cxy))
         out += float(z.sum()) * cxy
         out += float(y.sum()) * cxz
         out += float(x.sum()) * cyz
         if self.alpha:
             out += (self.alpha / 3.0) * (
-                float(x @ y) * z + float(x @ z) * y + float(y @ z) * x
+                _dot(x, y) * z + _dot(x, z) * y + _dot(y, z) * x
             )
         return out
 
@@ -434,7 +441,7 @@ class LiftedOperator:
         out += float(x.sum()) * my
         if self.alpha:
             out += (self.alpha / 3.0) * (
-                float(x @ y) * np.eye(n) + np.outer(x, y) + np.outer(y, x)
+                _dot(x, y) * np.eye(n) + np.outer(x, y) + np.outer(y, x)
             )
         return out
 

@@ -185,26 +185,28 @@ def contract_vec_full(tensor: SparseSymmetricTensor3, x, y) -> np.ndarray:
 
 def lifted_contract_vec_full(op: LiftedOperator, x, y, z) -> np.ndarray:
     """``op.contract_vec(x, y, z)`` from three full-pass contractions, one
-    per pair of arguments, with no reuse."""
+    per pair of arguments, with no reuse; each dot product is the pairwise
+    sum of the elementwise product, as in the package."""
     x, y, z = (np.asarray(v, dtype=np.float64) for v in (x, y, z))
     cxy = contract_vec_full(op.tensor, x, y)
-    out = np.full(op.n, float(z @ cxy))
+    out = np.full(op.n, float((z * cxy).sum()))
     out += float(z.sum()) * cxy
     out += float(y.sum()) * contract_vec_full(op.tensor, x, z)
     out += float(x.sum()) * contract_vec_full(op.tensor, y, z)
     if op.alpha:
-        out += (op.alpha / 3.0) * (float(x @ y) * z + float(x @ z) * y + float(y @ z) * x)
+        xy, xz, yz = (float((a * b).sum()) for a, b in ((x, y), (x, z), (y, z)))
+        out += (op.alpha / 3.0) * (xy * z + xz * y + yz * x)
     return out
 
 
 def score_full(tensor: SparseSymmetricTensor3, x) -> float:
     """``tensor.score(x)`` by one product expression over every stored orbit,
-    the package's kernel before it reused one weight buffer."""
+    the package's kernel before it reused one weight buffer, summed pairwise."""
     x = np.asarray(x, dtype=np.float64)
     if not tensor.val.size:
         return 0.0
     i, j, k = tensor.idx[:, 0], tensor.idx[:, 1], tensor.idx[:, 2]
-    return 6.0 * float(np.dot(tensor.val, x[i] * x[j] * x[k]))
+    return 6.0 * float((tensor.val * (x[i] * x[j] * x[k])).sum())
 
 
 def contract_mat_full(tensor: SparseSymmetricTensor3, x) -> np.ndarray:
@@ -227,7 +229,8 @@ def contract_mat_full(tensor: SparseSymmetricTensor3, x) -> np.ndarray:
 def mpm_last_axis(A, shape: MatchingShape, x0) -> MpmResult:
     """``qap.mpm(A, shape, x0)`` with the max taken over the last axis of
     the (n1, n2, n1, n2) product, the package's pooling before it moved the
-    pooled index outermost.  ``A`` and ``x0`` must be valid."""
+    pooled index outermost, each 2-norm the root of a pairwise sum of
+    squares.  ``A`` and ``x0`` must be valid."""
     n = shape.n
     A = np.asarray(A, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -243,19 +246,19 @@ def mpm_last_axis(A, shape: MatchingShape, x0) -> MpmResult:
         own = pooled[rows, :, rows]
         return (total - own + xm * diag).reshape(n)
 
-    x = x0 / float(np.linalg.norm(x0))
+    x = x0 / np.sqrt((x0 * x0).sum())
     converged = False
     degenerate = False
     iterations = 0
     for _ in range(qap.MPM_MAX_ITER):
         iterations += 1
         new = pool(x)
-        norm_new = float(np.linalg.norm(new))
+        norm_new = float(np.sqrt((new * new).sum()))
         if norm_new == 0.0:
             degenerate = True
             break
         new = new / norm_new
-        delta = float(np.linalg.norm(new - x))
+        delta = float(np.sqrt(((new - x) ** 2).sum()))
         x = new
         if delta <= qap.MPM_TOL:
             converged = True
@@ -272,7 +275,7 @@ def qap_brute(A: np.ndarray, shape: MatchingShape):
     best_obj, best_cols = -np.inf, None
     for cols in all_assignments(shape):
         x = indicator(shape, cols)
-        obj = float(x @ (A @ x))
+        obj = float((x * (A @ x)).sum())
         if obj > best_obj:
             best_obj, best_cols = obj, cols
     return best_obj, best_cols

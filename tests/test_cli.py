@@ -7,9 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hypermatch import ExperimentSpec, harness, prepare_case, run_grid
+from hypermatch import (
+    AffinityParams,
+    ExperimentSpec,
+    build_tensor,
+    harness,
+    prepare_case,
+    run_grid,
+)
 from hypermatch import bcagm as bcagm_module
 from hypermatch import cli, selfcheck
 from hypermatch import tensor as tensor_module
@@ -255,18 +263,34 @@ class TestMatch:
         assert main(["match", unset, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @staticmethod
+    def assert_warns_a_guess(problem, capsys, n1):
+        assert main(["match", problem]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "hypermatch: warning: the affinity tensor has no positive entry; "
+            "the assignment is a guess\n"
+        )
+        result = json.loads(captured.out)
+        assert result["score3"] == 0.0
+        assert sorted(result["assignment"]) == list(range(1, n1 + 1))
+
     def test_empty_tensor_warns_but_succeeds(self, tmp_path, capsys):
         # every triangle is collinear, so no orbit is kept
         line = [[float(i), 2.0 * i] for i in range(4)]
         problem = write_problem(tmp_path / "p.json", points_p=line, points_q=line)
-        assert main(["match", problem]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "hypermatch: warning: the affinity tensor is empty; the assignment is a guess\n"
+        self.assert_warns_a_guess(problem, capsys, 4)
+
+    def test_all_zero_tensor_warns_but_succeeds(self, tmp_path, capsys):
+        # orbits are kept, but a huge gamma rounds every affinity to 0.0
+        rng = np.random.default_rng(0)
+        P, Q = rng.standard_normal((5, 2)).tolist(), rng.standard_normal((8, 2)).tolist()
+        t = build_tensor(P, Q, params=AffinityParams(gamma=1e308))
+        assert t.nnz > 0 and not t.val.any()
+        problem = write_problem(
+            tmp_path / "p.json", points_p=P, points_q=Q, options={"gamma": 1e308}
         )
-        result = json.loads(captured.out)
-        assert result["score3"] == 0.0
-        assert sorted(result["assignment"]) == [1, 2, 3, 4]
+        self.assert_warns_a_guess(problem, capsys, 5)
 
     def test_deterministic_result_bytes(self, tmp_path):
         problem = write_problem(tmp_path / "p.json")

@@ -10,9 +10,6 @@ import csv
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -96,68 +93,52 @@ def solution_doc(sol) -> str:
     )
 
 
-def solution_digests(seed: int, n_in: int, n_out: int) -> dict:
-    """sha256 of ``solution_doc`` for every tensor method on one instance."""
+def solution_digests(seed: int, n_in: int, n_out: int, methods=tuple(TENSOR_METHODS)) -> dict:
+    """sha256 of ``solution_doc`` for each of ``methods`` on one instance."""
     t = build_tensor(*scene_instance(seed, n_in, n_out))
     return {
         method: hashlib.sha256(solution_doc(run_method(method, t)).encode()).hexdigest()
-        for method in TENSOR_METHODS
+        for method in methods
     }
 
 
 # solution_digests on the TENSOR_DIGESTS instances whose scene triples are
-# enumerated, with one BLAS thread; frozen before the solvers kept a
-# contraction memo.  bcagm_mp and bcagm_ipfp agree on all four.
+# enumerated, where bcagm_mp and bcagm_ipfp agree on all four; and on 10
+# into 1001 points, n = 10 010, where a BLAS dot would split its sum across
+# threads.  The two-block methods refuse that n, so it pins bcagm and hopm.
+# No byte depends on the BLAS thread count.
 SOLUTION_DIGESTS = {
     (21, 10, 30): {
-        "bcagm": "056b7ff4b472c5f57b0cbce74b00333f1fae2268ddbea56a33c96a2b40082065",
-        "bcagm_mp": "5a04850f65b8e9f33dc46ca5ffbdf0d0ad7dd5dec3a83f537550edc710f51413",
-        "bcagm_ipfp": "5a04850f65b8e9f33dc46ca5ffbdf0d0ad7dd5dec3a83f537550edc710f51413",
+        "bcagm": "38b35928f57e650a261813bf231047aba30aba4a95a8e39250855a533a5f2a2a",
+        "bcagm_mp": "1b278d2772a752a51cf5250a42d763f9256012bf9c29876a30c98cbb7258f7dc",
+        "bcagm_ipfp": "1b278d2772a752a51cf5250a42d763f9256012bf9c29876a30c98cbb7258f7dc",
         "hopm": "92adb55413e674f1526da53c6112511524be1d729a9ee086631777af6c5b2271",
     },
     (22, 10, 40): {
-        "bcagm": "47715b2fd5c1d4feb69eaf515ce87e5220fef9e621eb08383f04e60a3ff2d66f",
+        "bcagm": "fef0459455d00acc069047f265524845ca037ee69f524d76f33c6f5d38ac2c00",
         "bcagm_mp": "b191e8e131baef508588dc14b00b5cb54ba01435399e921a7e9c33d9ca123d1b",
         "bcagm_ipfp": "b191e8e131baef508588dc14b00b5cb54ba01435399e921a7e9c33d9ca123d1b",
         "hopm": "d89ef64ebf9e31ad4d788fd9adcd920268b7719f832a44161bd709907ba07de5",
     },
     (23, 3, 5): {
-        "bcagm": "4994f60d1bb4ff4905428b2d39bea8945927d2f205775b9f31fe6fdc1fd67520",
-        "bcagm_mp": "6481c8c072f943eac72cf69586e6d69d9d30cc7f5c024b311a1110f20bc6d153",
-        "bcagm_ipfp": "6481c8c072f943eac72cf69586e6d69d9d30cc7f5c024b311a1110f20bc6d153",
+        "bcagm": "61bcb9bacf137f196be7712c6c976cb1215c6962e9c6dbf096304968764c4391",
+        "bcagm_mp": "3e1a6616e2307dcd310a376c27b04f5de2e0ba3617c4f13617b747b1d9c0eaf9",
+        "bcagm_ipfp": "3e1a6616e2307dcd310a376c27b04f5de2e0ba3617c4f13617b747b1d9c0eaf9",
         "hopm": "cf8f0b6fb5ae4e63d3294bf526acbb83db47347151f9e83cb45e3a7c566cb2dd",
     },
     (24, 8, 0): {
-        "bcagm": "c1dbbb037c59e99a878d5fb27c36e77b95e39a4df79433140bd7b9c0ba49221d",
+        "bcagm": "2bba14fcd99cfa833fe126a8b47650f5e1c5bc1ccc1127092cff03a8d5fa9150",
         "bcagm_mp": "1f6847330387252debafbcd038202b5353f45f7fa07cf051dca159cd54e97b6a",
         "bcagm_ipfp": "1f6847330387252debafbcd038202b5353f45f7fa07cf051dca159cd54e97b6a",
         "hopm": "0b5e4b780ab7b043122f66699dbe2af0ed2d0cd92990b1e546538f18a8d84113",
     },
+    (28, 10, 991): {
+        "bcagm": "90faa0ae3a8617b5d0603d4855cd7f75d141017444dd808a4e4eabbfc53e22d2",
+        "hopm": "7b90779595d449d0afce9f9942823f22f0297bd0c3d2f521d9fd6076683cec9c",
+    },
 }
-
-# A threaded BLAS dot sums in another order, so the last bits of the scores
-# (and of alpha_bound) depend on the thread count; the digests are taken in
-# a child process with one thread.
-BLAS_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
 
 @pytest.mark.parametrize("seed, n_in, n_out", list(SOLUTION_DIGESTS))
 def test_solutions_match_frozen_digests(seed, n_in, n_out):
-    env = {
-        **os.environ,
-        **dict.fromkeys(BLAS_THREAD_VARS, "1"),
-        "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), *sys.path]),
-    }
-    code = (
-        "import json, test_golden; "
-        f"print(json.dumps(test_golden.solution_digests({seed}, {n_in}, {n_out})))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == SOLUTION_DIGESTS[seed, n_in, n_out]
+    want = SOLUTION_DIGESTS[seed, n_in, n_out]
+    assert solution_digests(seed, n_in, n_out, tuple(want)) == want

@@ -134,7 +134,7 @@ class TestIpfp:
             assert res.inner_iterations == 1
             (g0, projected), (g1, final) = laps  # IPFP_MAX_ITER + 1 LAPs
             np.testing.assert_array_equal(g0, reshape_to_profit(A @ x0.indicator(), shape))
-            if float(g0.ravel() @ (projected.indicator() - x0.indicator())) <= 0.0:
+            if float((g0.ravel() * (projected.indicator() - x0.indicator())).sum()) <= 0.0:
                 continue  # the start was already a fixed point
             checked += 1
             assert not np.array_equal(g1, g0)  # the closing LAP sees the moved iterate
