@@ -16,7 +16,6 @@ import pytest
 from test_affinity import scene_instance
 
 from hypermatch import build_tensor, run_method
-from hypermatch.bcagm import TENSOR_METHODS
 from hypermatch.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "synth_n10_out0-20_seed7.csv"
@@ -93,7 +92,7 @@ def solution_doc(sol) -> str:
     )
 
 
-def solution_digests(seed: int, n_in: int, n_out: int, methods=tuple(TENSOR_METHODS)) -> dict:
+def solution_digests(seed: int, n_in: int, n_out: int, methods) -> dict:
     """sha256 of ``solution_doc`` for each of ``methods`` on one instance."""
     t = build_tensor(*scene_instance(seed, n_in, n_out))
     return {
