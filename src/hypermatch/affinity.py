@@ -245,7 +245,7 @@ def _knn_by_sorted_sets(q_feats: np.ndarray, p_feats: np.ndarray, k: int) -> np.
     # Features are positive, so the network's values are those of np.sort.
     q_sorted = _sort_rows(q_feats.copy())
     p_code = _order_codes(p_feats)
-    p_sorted = np.sort(p_feats, axis=1)
+    p_sorted = _sort_rows(p_feats.copy())
 
     m = min(k, n_sets)
     tree = _kd_tree(q_sorted)

@@ -39,6 +39,13 @@ class CliError(Exception):
 
 @functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
+    # Only reads a number: the config type that owns the setting judges it.
+    def number(text: str) -> int | float:
+        try:
+            return int(text)
+        except ValueError:
+            return float(text)
+
     parser = argparse.ArgumentParser(
         prog="hypermatch",
         description="Hypergraph matching of 2-D point sets by tensor block-coordinate ascent.",
@@ -49,13 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
     match.add_argument("input", help="problem file (JSON)")
     match.add_argument("--output", help="result file (default: stdout)")
     match.add_argument(
-        "--method", choices=tuple(TENSOR_METHODS), help="override the file's method"
+        "--method", help=f"override the file's method: one of {', '.join(TENSOR_METHODS)}"
     )
-    match.add_argument("--seed", type=int)
+    match.add_argument("--seed", type=number)
     match.set_defaults(func=_cmd_match)
 
     synth = sub.add_parser("synth", help="run a synthetic benchmark grid, emit CSV")
-    synth.add_argument("--n-in", type=int, required=True, dest="n_in")
+    synth.add_argument("--n-in", type=number, required=True, dest="n_in")
     synth.add_argument(
         "--n-out",
         dest="n_out",
@@ -63,20 +70,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     synth.add_argument("--sigma", type=float)
     synth.add_argument("--scale", type=float)
-    synth.add_argument("--trials", type=int)
-    synth.add_argument("--seed", type=int, dest="seed_base", metavar="SEED")
+    synth.add_argument("--trials", type=number)
+    synth.add_argument("--seed", type=number, dest="seed_base", metavar="SEED")
     synth.add_argument(
         "--methods",
         help=f"comma-separated subset of {','.join(METHODS)}",
     )
     synth.add_argument("--sigma-s", type=float, dest="sigma_s")
-    synth.add_argument("--threads", type=int, help="0 = auto")
+    synth.add_argument("--threads", type=number, help="0 = auto")
     synth.add_argument("--deterministic", action="store_true")
     synth.add_argument("--output", help="CSV file (default: stdout)")
     synth.set_defaults(func=_cmd_synth)
     for command in (match, synth):  # the flags both take
-        command.add_argument("--triples-per-point", type=int, dest="triples_per_point")
-        command.add_argument("--knn", type=int)
+        command.add_argument("--triples-per-point", type=number, dest="triples_per_point")
+        command.add_argument("--knn", type=number)
 
     check = sub.add_parser("selfcheck", help="run the fast invariant suite")
     check.set_defaults(func=_cmd_selfcheck)
@@ -112,7 +119,9 @@ def _load_problem(path: str):
             document = json.load(fp)
     except OSError as exc:
         raise CliError(f"cannot read problem file: {exc}", EXIT_USAGE) from exc
-    except ValueError as exc:  # also an integer longer than Python converts
+    # ValueError also for an integer longer than Python converts, and
+    # RecursionError for arrays or objects nested deeper than the decoder goes.
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"problem file is not valid JSON: {exc}", EXIT_USAGE) from exc
     if not isinstance(document, dict):
         raise CliError("problem file: top level must be an object", EXIT_USAGE)
@@ -172,7 +181,8 @@ def _cmd_match(args) -> int:
 
     tensor = build_tensor(P, Q, sampling, params)
     # Empty or all zeros, every matching scores 0.
-    if not tensor.val.any():
+    degenerate = not tensor.val.any()
+    if degenerate:
         print(
             "hypermatch: warning: the affinity tensor has no positive entry; "
             "the assignment is a guess",
@@ -189,6 +199,7 @@ def _cmd_match(args) -> int:
         "score3": solution.score3,
         "score4_alpha": solution.score4_alpha,
         "outer_iterations": solution.outer_iterations,
+        "degenerate": degenerate,
         "trace": solution.trace.as_dict(),
     }
     _write_output(args.output, json.dumps(result, indent=2) + "\n")

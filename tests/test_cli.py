@@ -43,6 +43,7 @@ class TestMatch:
         assert result["format_version"] == 1
         assert result["assignment"] == [1, 2, 3, 4]
         assert result["score3"] == pytest.approx(24.0)
+        assert result["degenerate"] is False
         assert result["trace"]["terminated"] == "stalled"
 
     def test_output_file_roundtrip(self, tmp_path):
@@ -72,6 +73,11 @@ class TestMatch:
         assert capsys.readouterr().err == (
             "hypermatch: problem file: top level must be an object\n"
         )
+        bad.write_text("[" * 100_000 + "]" * 100_000)  # deeper than the decoder recurses
+        assert main(["match", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hypermatch: problem file is not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_missing_field_named_in_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -247,6 +253,31 @@ class TestMatch:
         assert err.startswith("hypermatch: invalid option value:")
         assert err.count("\n") == 1
 
+    # A flag and the file option it overrides are judged by one rule, the
+    # config type's, so a refused value prints the same single line.
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            *itertools.product(("knn", "triples_per_point", "seed"), ("2.5", "-1", "1e400")),
+            ("method", "nosuch"),
+        ],
+    )
+    def test_flag_and_file_option_are_refused_alike(self, tmp_path, capsys, key, text):
+        problem = tmp_path / "p.json"
+        write_problem(problem)
+        assert main(["match", str(problem), "--" + key.replace("_", "-"), text]) == 1
+        from_flag = capsys.readouterr()
+        # the flag's text as the option's JSON literal, so 1e400 is a literal too
+        literal = json.dumps(text) if key == "method" else text
+        write_problem(problem, options={key: None})
+        problem.write_text(problem.read_text().replace("null", literal))
+        assert main(["match", str(problem)]) == 1
+        from_file = capsys.readouterr()
+        assert from_flag.err == from_file.err
+        assert from_flag.err.startswith("hypermatch: ")
+        assert from_flag.err.count("\n") == 1
+        assert from_flag.out == from_file.out == ""
+
     def test_sigma_s_option_is_ignored(self, tmp_path):
         plain = write_problem(tmp_path / "plain.json")
         tuned = write_problem(tmp_path / "tuned.json", options={"sigma_s": -1})
@@ -272,6 +303,7 @@ class TestMatch:
             "the assignment is a guess\n"
         )
         result = json.loads(captured.out)
+        assert result["degenerate"] is True
         assert result["score3"] == 0.0
         assert sorted(result["assignment"]) == list(range(1, n1 + 1))
 
@@ -370,6 +402,9 @@ class TestSynth:
             ["--n-out", "-1"],
             ["--n-out", "5:1:1"],
             ["--n-out", "0:4:0"],
+            ["--trials", "2.5"],
+            ["--n-in", "3.5"],
+            ["--threads", "1e400"],
         ],
     )
     def test_bad_grid_exits_1_with_one_line(self, capsys, flags):
@@ -610,3 +645,13 @@ class TestUsage:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["synth", "--n-in", "not-a-number"], ["match", "p.json", "--knn", "x"]]
+    )
+    def test_text_that_is_no_number_is_a_parse_error(self, capsys, argv):
+        *_, flag, text = argv
+        assert main(argv) == 1
+        usage, *_, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: hypermatch")
+        assert error.endswith(f"error: argument {flag}: invalid number value: '{text}'")
