@@ -1,7 +1,6 @@
 """Hypergraph matching of 2-D point sets by tensor block-coordinate ascent."""
 
 from .affinity import (
-    AffinityParams,
     SamplingConfig,
     build_matrix2,
     build_tensor,
@@ -42,7 +41,6 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityParams",
     "AssignmentVector",
     "ExperimentSpec",
     "LiftedOperator",

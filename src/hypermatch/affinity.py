@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import tensor
 from .tensor import MatchingShape, SparseSymmetricTensor3, _check_number, _sort_rows, unique_rows
 
 __all__ = [
     "SamplingConfig",
-    "AffinityParams",
     "build_tensor",
     "build_matrix2",
 ]
@@ -29,6 +29,8 @@ __all__ = [
 # Triangles with a side shorter than this are degenerate; sides are measured
 # after the point set is rescaled to a half-extent in [0.5, 1).
 MIN_SIDE = 1e-9
+# Scale of the pairwise-distance gap in the second-order matrix.
+SIGMA_S = 0.5
 # Scene triple sets are enumerated exhaustively up to this many, sampled beyond.
 Q_TRIPLE_CAP = 200_000
 # From this many scene sets on, _knn searches a tree over the sets' sorted
@@ -39,41 +41,27 @@ _SORTED_TREE_MIN_SETS = 8_000
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Sampling strategy for the tensor build.
+    """Sampling strategy and decay of the tensor build.
 
     ``triples_per_point * n1`` triples are drawn from the template set (the
     distinct ones are kept); every drawn triple retains its ``knn`` nearest
     scene triangles in feature space.  Scene triple sets are enumerated
-    exhaustively up to ``Q_TRIPLE_CAP`` and sampled beyond that.
+    exhaustively up to ``Q_TRIPLE_CAP`` and sampled beyond that.  ``gamma``
+    is the exponential decay of the tensor entries; when absent it is set to
+    the inverse of the mean retained squared feature distance.
     """
 
     triples_per_point: int = 50
     knn: int = 300
     seed: int = 0
+    gamma: float | None = None
 
     def __post_init__(self) -> None:
         _check_number(self.triples_per_point, "triples_per_point", 1, count=True)
         _check_number(self.knn, "knn", 1, count=True)
         _check_number(self.seed, "seed", 0, count=True)
-
-
-@dataclass(frozen=True)
-class AffinityParams:
-    """Weights of the affinity kernels.
-
-    ``gamma`` is the exponential decay of the tensor entries; when absent it
-    is set to the inverse of the mean retained squared feature distance.
-    ``sigma_s`` normalizes the pairwise-distance gap in the second-order
-    matrix.
-    """
-
-    gamma: float | None = None
-    sigma_s: float = 0.5
-
-    def __post_init__(self) -> None:
         if self.gamma is not None:
             _check_number(self.gamma, "gamma", 0, strict=True)
-        _check_number(self.sigma_s, "sigma_s", 0, strict=True)
 
 
 def _as_points(points, name: str) -> np.ndarray:
@@ -313,12 +301,7 @@ def _kept_rows(q_sets: np.ndarray, q_feats: np.ndarray, p_feats: np.ndarray, sel
     return q_sets.ravel()[at].reshape(-1, 3), dist2.reshape(-1)
 
 
-def build_tensor(
-    P,
-    Q,
-    sampling: SamplingConfig | None = None,
-    params: AffinityParams | None = None,
-) -> SparseSymmetricTensor3:
+def build_tensor(P, Q, sampling: SamplingConfig | None = None) -> SparseSymmetricTensor3:
     """Build the third-order affinity tensor for matching P into Q.
 
     Triples sampled from P are compared against the k nearest scene
@@ -328,7 +311,6 @@ def build_tensor(
     sorted, so identical inputs produce bit-identical tensors.
     """
     sc = sampling if sampling is not None else SamplingConfig()
-    ap = params if params is not None else AffinityParams()
     P, Q = _point_sets(P, Q)
     n1, n2 = len(P), len(Q)
     if n1 < 3:
@@ -349,8 +331,8 @@ def build_tensor(
     p_rows = np.repeat(p_triples, k, axis=0)
     q_rows, dist2 = _kept_rows(q_sets, q_feats, p_feats, sel)
 
-    if ap.gamma is not None:
-        gamma = float(ap.gamma)
+    if sc.gamma is not None:
+        gamma = float(sc.gamma)
     else:
         mean_d2 = float(dist2.mean())
         gamma = 1.0 / mean_d2 if mean_d2 > 0.0 else 1.0
@@ -360,20 +342,27 @@ def build_tensor(
     return SparseSymmetricTensor3(shape, p_rows * n2 + q_rows, values)
 
 
-def build_matrix2(P, Q, params: AffinityParams | None = None) -> np.ndarray:
+def build_matrix2(P, Q) -> np.ndarray:
     """Second-order affinity matrix from pairwise-distance agreement.
 
     Entry ``((i1,j1),(i2,j2))`` is ``exp(-(dP[i1,i2] - dQ[j1,j2])^2 /
-    sigma_s^2)`` for distinct rows and distinct columns, zero otherwise.
+    SIGMA_S^2)`` for distinct rows and distinct columns, zero otherwise.
     Used only to run the quadratic subroutines as standalone baselines.
+    Above ``tensor.DENSE_MATRIX_LIMIT`` rows it raises
+    :class:`~hypermatch.tensor.ThresholdExceeded` before any n x n array is
+    built, as ``contract_mat`` does.
     """
-    ap = params if params is not None else AffinityParams()
     P, Q = _point_sets(P, Q)
     n1, n2 = len(P), len(Q)
+    n = n1 * n2
+    if n > tensor.DENSE_MATRIX_LIMIT:
+        raise tensor.ThresholdExceeded(
+            f"refusing to materialize a {n}x{n} matrix (limit {tensor.DENSE_MATRIX_LIMIT})"
+        )
     dP = np.hypot(P[:, 0, None] - P[None, :, 0], P[:, 1, None] - P[None, :, 1])
     dQ = np.hypot(Q[:, 0, None] - Q[None, :, 0], Q[:, 1, None] - Q[None, :, 1])
     gap = dP[:, None, :, None] - dQ[None, :, None, :]
-    A = np.exp(-(gap**2) / float(ap.sigma_s) ** 2)
+    A = np.exp(-(gap**2) / SIGMA_S**2)
     rows = np.arange(n1)
     cols = np.arange(n2)
     A[rows, :, rows, :] = 0.0

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .affinity import AffinityParams, SamplingConfig, build_tensor
+from .affinity import SamplingConfig, build_tensor
 from .bcagm import TENSOR_METHODS, TraceViolation, _check_method, run_method
 from .harness import METHODS, ExperimentSpec, records_to_csv, run_grid
 from .selfcheck import run_selfcheck
@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--methods",
         help=f"comma-separated subset of {','.join(METHODS)}",
     )
-    synth.add_argument("--sigma-s", type=float, dest="sigma_s")
     synth.add_argument("--threads", type=number, help="0 = auto")
     synth.add_argument("--deterministic", action="store_true")
     synth.add_argument("--output", help="CSV file (default: stdout)")
@@ -174,12 +173,13 @@ def _cmd_match(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
     try:
-        sampling = SamplingConfig(**_given(options, args, "triples_per_point", "knn", "seed"))
-        params = AffinityParams(**_given(options, args, "gamma"))
+        sampling = SamplingConfig(
+            **_given(options, args, "triples_per_point", "knn", "seed", "gamma")
+        )
     except ValueError as exc:
         raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from exc
 
-    tensor = build_tensor(P, Q, sampling, params)
+    tensor = build_tensor(P, Q, sampling)
     # Empty or all zeros, every matching scores 0.
     degenerate = not tensor.val.any()
     if degenerate:
@@ -237,7 +237,6 @@ def _cmd_synth(args) -> int:
         spec = ExperimentSpec(
             n_in=args.n_in,
             sampling=SamplingConfig(**_given({}, args, "triples_per_point", "knn")),
-            affinity=AffinityParams(**_given({}, args, "sigma_s")),
             deterministic=args.deterministic,
             **chosen,
         )

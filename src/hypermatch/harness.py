@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .affinity import AffinityParams, SamplingConfig, build_matrix2, build_tensor
+from .affinity import SamplingConfig, build_matrix2, build_tensor
 from .bcagm import TENSOR_METHODS, TraceViolation, run_method
 from .lap import AssignmentVector, reshape_to_profit, solve_lap_max
 from .qap import ipfp, mpm
@@ -54,7 +54,8 @@ class ExperimentSpec:
     """One benchmark grid: outlier counts x trials x methods.
 
     Each trial's sampling seed is derived from ``seed_base``, so
-    ``sampling.seed`` must be left at 0.
+    ``sampling.seed`` must be left at 0; every other ``sampling`` field,
+    ``gamma`` included, holds for every trial.
     """
 
     n_in: int
@@ -65,7 +66,6 @@ class ExperimentSpec:
     seed_base: int = 0
     methods: tuple[str, ...] = ("bcagm",)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    affinity: AffinityParams = field(default_factory=AffinityParams)
     deterministic: bool = False
     threads: int = 1
 
@@ -176,7 +176,7 @@ def prepare_case(spec: ExperimentSpec, n_out: int, trial: int) -> TrialCase:
     seed = trial_seed(spec.seed_base, n_out, trial)
     P, Q, gt = gen_instance(spec.n_in, n_out, spec.sigma, spec.scale, seed)
     sampling = replace(spec.sampling, seed=(seed + 1) & (2**63 - 1))
-    tensor = build_tensor(P, Q, sampling, spec.affinity)
+    tensor = build_tensor(P, Q, sampling)
     return TrialCase(P=P, Q=Q, gt=gt, tensor=tensor)
 
 
@@ -201,7 +201,7 @@ def _run_trial(spec: ExperimentSpec, n_out: int, trial: int) -> list[ResultRecor
     case = prepare_case(spec, n_out, trial)
     matrix2 = None
     if any(m not in TENSOR_METHODS for m in spec.methods):
-        matrix2 = build_matrix2(case.P, case.Q, spec.affinity)
+        matrix2 = build_matrix2(case.P, case.Q)
     records = []
     for method in spec.methods:
         started = time.perf_counter()

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 import oracles
 from hypermatch import (
-    AffinityParams,
     SamplingConfig,
     SparseSymmetricTensor3,
+    ThresholdExceeded,
     affinity,
     build_matrix2,
     build_tensor,
     run_method,
 )
+from hypermatch import tensor as tensor_module
 from oracles import DegenerateTriangle, triangle_feature
 
 SQ3_2 = np.sqrt(3.0) / 2.0
@@ -185,7 +186,7 @@ class TestBuildTensor:
     def test_gamma_override(self):
         rng = np.random.default_rng(65)
         P = rng.standard_normal((5, 2))
-        t = build_tensor(P, P, SamplingConfig(seed=7), AffinityParams(gamma=4.0))
+        t = build_tensor(P, P, SamplingConfig(seed=7, gamma=4.0))
         assert t.val.max() == 1.0
 
     def test_orbit_canonical_form(self):
@@ -256,8 +257,6 @@ class TestBuildTensor:
         for bad_p in (np.zeros((3, 3)), np.zeros((0, 2))):
             with pytest.raises(ValueError, match=r"P must be an \(m, 2\) array"):
                 build_tensor(bad_p, square)
-        with pytest.raises(ValueError, match="sigma_s"):
-            AffinityParams(sigma_s=0)
 
     def test_collinear_template_yields_empty_tensor(self):
         line = np.column_stack([np.arange(5.0), np.zeros(5)])
@@ -605,10 +604,10 @@ class TestGammaSummationOrder:
 
     def test_explicit_gamma_is_bit_identical(self, monkeypatch):
         P, Q = scene_instance(15, 8, 12)
-        params = AffinityParams(gamma=3.0)
-        tree = build_tensor(P, Q, params=params)
+        sampling = SamplingConfig(gamma=3.0)
+        tree = build_tensor(P, Q, sampling)
         monkeypatch.setattr(affinity, "_knn", knn_brute_over_sets)
-        scan = build_tensor(P, Q, params=params)
+        scan = build_tensor(P, Q, sampling)
         assert tree.idx.tobytes() == scan.idx.tobytes()
         assert tree.val.tobytes() == scan.val.tobytes()
 
@@ -634,13 +633,25 @@ class TestBuildMatrix2:
         assert view[1, 1, 2, 2] == 1.0
 
     def test_unit_gap_scores_exp_minus_one(self):
-        # |dP - dQ| equals sigma_s, so the entry is exp(-1)
+        # |dP - dQ| equals affinity.SIGMA_S, so the entry is exp(-1)
         P = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
         Q = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 5.0]])
-        A = build_matrix2(P, Q, AffinityParams(sigma_s=0.5))
+        assert affinity.SIGMA_S == 0.5
+        A = build_matrix2(P, Q)
         view = A.reshape(3, 3, 3, 3)
         assert view[0, 0, 1, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_rejects_larger_template(self):
         with pytest.raises(ValueError, match="more points"):
             build_matrix2(np.zeros((3, 2)), np.zeros((2, 2)))
+
+    def test_refuses_more_rows_than_the_dense_limit(self, monkeypatch):
+        # 3 into 4 points is n = 12 rows, so 12 x 12 entries
+        P, Q = np.zeros((3, 2)), np.eye(4, 2)
+        monkeypatch.setattr(tensor_module, "DENSE_MATRIX_LIMIT", 12)
+        assert build_matrix2(P, Q).shape == (12, 12)
+        monkeypatch.setattr(tensor_module, "DENSE_MATRIX_LIMIT", 11)
+        # refused before the pairwise distances, the first array it builds
+        monkeypatch.setattr(affinity.np, "hypot", None)
+        with pytest.raises(ThresholdExceeded, match=r"refusing to materialize a 12x12 matrix"):
+            build_matrix2(P, Q)

@@ -9,7 +9,6 @@ import pytest
 
 import hypermatch
 from hypermatch import (
-    AffinityParams,
     AssignmentVector,
     ExperimentSpec,
     LiftedOperator,
@@ -47,9 +46,9 @@ SHAPE23 = MatchingShape(2, 3)
     [
         pytest.param(lambda: SamplingConfig(knn=2.5), "knn", id="fractional-knn"),
         pytest.param(lambda: SamplingConfig(seed=True), "seed", id="bool-seed"),
-        pytest.param(lambda: AffinityParams(gamma=True), "gamma", id="bool-gamma"),
-        pytest.param(lambda: AffinityParams(gamma="1"), "gamma", id="string-gamma"),
-        pytest.param(lambda: AffinityParams(gamma=10**400), "gamma", id="huge-int-gamma"),
+        pytest.param(lambda: SamplingConfig(gamma=True), "gamma", id="bool-gamma"),
+        pytest.param(lambda: SamplingConfig(gamma="1"), "gamma", id="string-gamma"),
+        pytest.param(lambda: SamplingConfig(gamma=10**400), "gamma", id="huge-int-gamma"),
         pytest.param(lambda: ExperimentSpec(n_in=4.5), "n_in", id="fractional-n_in"),
         pytest.param(lambda: ExperimentSpec(n_in=4, trials=2.5), "trials", id="fractional-trials"),
         pytest.param(
@@ -98,7 +97,7 @@ SHAPE23 = MatchingShape(2, 3)
             lambda: LiftedOperator(T3, np.float32(2)).alpha == 2.0, None, id="float32-alpha"
         ),
         pytest.param(
-            lambda: AffinityParams(gamma=np.float32(2.0)).gamma == 2.0, None, id="float32-gamma"
+            lambda: SamplingConfig(gamma=np.float32(2.0)).gamma == 2.0, None, id="float32-gamma"
         ),
         pytest.param(
             lambda: ExperimentSpec(n_in=4, sigma=np.float32(0.03)).sigma > 0,

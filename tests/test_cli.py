@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from hypermatch import (
-    AffinityParams,
     ExperimentSpec,
+    SamplingConfig,
     build_tensor,
     harness,
     prepare_case,
@@ -317,7 +317,7 @@ class TestMatch:
         # orbits are kept, but a huge gamma rounds every affinity to 0.0
         rng = np.random.default_rng(0)
         P, Q = rng.standard_normal((5, 2)).tolist(), rng.standard_normal((8, 2)).tolist()
-        t = build_tensor(P, Q, params=AffinityParams(gamma=1e308))
+        t = build_tensor(P, Q, SamplingConfig(gamma=1e308))
         assert t.nnz > 0 and not t.val.any()
         problem = write_problem(
             tmp_path / "p.json", points_p=P, points_q=Q, options={"gamma": 1e308}
@@ -428,6 +428,16 @@ class TestSynth:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_dense_limit_exits_2_with_one_line(self, capsys, monkeypatch):
+        # 4 into 4 points is n = 16; the second-order methods materialize n x n
+        monkeypatch.setattr(tensor_module, "DENSE_MATRIX_LIMIT", 15)
+        assert main(["synth", "--n-in", "4", "--methods", "ipfp2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "hypermatch: invalid problem: refusing to materialize a 16x16 matrix (limit 15)\n"
+        )
+        assert captured.out == ""
+
     def test_huge_n_out_range_exits_1_with_one_line(self, capsys):
         # 10**15 + 1 outlier counts: the tuple's allocation fails at once
         assert main(["synth", "--n-in", "4", "--n-out", "0:1000000000000000:1"]) == 1
@@ -469,6 +479,13 @@ class TestSharedParser:
         usage, error = capsys.readouterr().err.splitlines()
         assert usage.startswith("usage: hypermatch")
         assert error == "hypermatch: error: unrecognized arguments: --deterministic"
+
+    def test_synth_has_no_sigma_s_flag(self, capsys):
+        # The second-order matrix's scale is the constant affinity.SIGMA_S.
+        assert main(["synth", "--n-in", "4", "--sigma-s", "0.5"]) == 1
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: hypermatch")
+        assert error == "hypermatch: error: unrecognized arguments: --sigma-s 0.5"
 
     def test_neither_command_has_an_alpha_mode_flag(self, tmp_path, capsys):
         # One convexification schedule, so nothing to choose.

@@ -15,8 +15,17 @@ from pathlib import Path
 import pytest
 from test_affinity import scene_instance
 
-from hypermatch import build_tensor, run_method
+from hypermatch import (
+    MatchingShape,
+    SparseSymmetricTensor3,
+    TrialCase,
+    build_matrix2,
+    build_tensor,
+    qap_objective,
+    run_method,
+)
 from hypermatch.cli import main
+from hypermatch.harness import _run_method
 
 GOLDEN = Path(__file__).parent / "golden" / "synth_n10_out0-20_seed7.csv"
 ARGS = [
@@ -141,3 +150,45 @@ SOLUTION_DIGESTS = {
 def test_solutions_match_frozen_digests(seed, n_in, n_out):
     want = SOLUTION_DIGESTS[seed, n_in, n_out]
     assert solution_digests(seed, n_in, n_out, tuple(want)) == want
+
+
+def second_order_digests(seed: int, n_in: int, n_out: int) -> dict:
+    """sha256 of ``build_matrix2``'s bytes and of the ``ipfp2`` and ``mpm2``
+    outputs on one instance: the assignment, the ``repr`` of its
+    ``qap_objective`` and the iterations, from the harness's own calls."""
+    P, Q = scene_instance(seed, n_in, n_out)
+    A = build_matrix2(P, Q)
+    # The second-order methods read only the tensor's shape.
+    case = TrialCase(P, Q, None, SparseSymmetricTensor3(MatchingShape(len(P), len(Q))))
+    digests = {"matrix2": hashlib.sha256(A.tobytes()).hexdigest()}
+    for method in ("ipfp2", "mpm2"):
+        assignment, iterations = _run_method(method, case, A)
+        doc = json.dumps([list(assignment.cols), repr(qap_objective(A, assignment)), iterations])
+        digests[method] = hashlib.sha256(doc.encode()).hexdigest()
+    return digests
+
+
+# second_order_digests on the TENSOR_DIGESTS instances whose scene triples
+# are enumerated and whose n stays within DENSE_MATRIX_LIMIT.
+SECOND_ORDER_DIGESTS = {
+    (21, 10, 30): {
+        "matrix2": "1c8b417bed23e25047aeeeb179711c4f6e44cace2a01761ee6a8b3546fb089a0",
+        "ipfp2": "7a0ba2603ea6de356582b170ea956698a6c6f4d75671ad04f844d9611022cfb3",
+        "mpm2": "95633f3955ba03d3a65d9516e8c3708f0179b1a6a6588c8e3266582708c4e41a",
+    },
+    (23, 3, 5): {
+        "matrix2": "d581895733be98c3c585babcd81217fb8a1082830b516910dfcab32e613e368f",
+        "ipfp2": "06f685466f5af54a3cbf8e02fcd006d4b1dbd40028f686759b871926c69551be",
+        "mpm2": "a841fb3389a03990dc1167fc345c9879c5696c6b28d3133ff438687541492c18",
+    },
+    (24, 8, 0): {
+        "matrix2": "f9c7cdf1bc60d2573c55f04e6a3be657a39b0026b1ce0cd01eb787f46301559e",
+        "ipfp2": "f280d24dd04df995ba88ba0d0e490498d50953d1cecb16aba531f3bbd515c1d1",
+        "mpm2": "496a2863cb1a7cff1aba1c4c37c67a992e5ccf355ce30e6786ab9501527c69cf",
+    },
+}
+
+
+@pytest.mark.parametrize("seed, n_in, n_out", list(SECOND_ORDER_DIGESTS))
+def test_second_order_outputs_match_frozen_digests(seed, n_in, n_out):
+    assert second_order_digests(seed, n_in, n_out) == SECOND_ORDER_DIGESTS[seed, n_in, n_out]

@@ -11,6 +11,7 @@ from hypermatch import (
     MatchingShape,
     SamplingConfig,
     accuracy,
+    build_tensor,
     gen_instance,
     prepare_case,
     records_to_csv,
@@ -129,6 +130,28 @@ class TestExperimentSpec:
             ExperimentSpec(n_in=5, sampling=SamplingConfig(seed=12345))
         assert ExperimentSpec(n_in=5, sampling=SamplingConfig(knn=7)).sampling.knn == 7
 
+    def test_a_sampling_gamma_builds_every_trial(self, monkeypatch):
+        # prepare_case replaces only the sampling seed, so gamma reaches every build.
+        spec = ExperimentSpec(
+            n_in=5, n_out=(0, 2), trials=2, sampling=SamplingConfig(gamma=2.5),
+            deterministic=True,
+        )
+        built = []
+
+        def recording_build(P, Q, sampling):
+            built.append(sampling)
+            return build_tensor(P, Q, sampling)
+
+        monkeypatch.setattr(harness, "build_tensor", recording_build)
+        run_grid(spec)
+        assert len({s.seed for s in built}) == 4
+        assert [s.gamma for s in built] == [2.5] * 4
+        monkeypatch.undo()
+        tuned = prepare_case(spec, 2, 1).tensor
+        plain = prepare_case(ExperimentSpec(n_in=5, n_out=(0, 2), trials=2), 2, 1).tensor
+        assert tuned.idx.tobytes() == plain.idx.tobytes()
+        assert tuned.val.tobytes() != plain.val.tobytes()
+
     def test_rejects_invalid_grid(self):
         with pytest.raises(ValueError):
             ExperimentSpec(n_in=2)
@@ -201,7 +224,7 @@ class TestRunGrid:
             if rec.method not in bcagm.TENSOR_METHODS:
                 from hypermatch import build_matrix2
 
-                matrix2 = build_matrix2(case.P, case.Q, spec.affinity)
+                matrix2 = build_matrix2(case.P, case.Q)
             assignment, _ = harness._run_method(rec.method, case, matrix2)
             assert rec.score3 == pytest.approx(
                 case.tensor.score(assignment.indicator()), rel=1e-10
