@@ -16,8 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import tensor
-from .tensor import MatchingShape, SparseSymmetricTensor3, _check_number, _sort_rows, unique_rows
+from .tensor import (
+    MatchingShape,
+    SparseSymmetricTensor3,
+    _check_dense_size,
+    _check_number,
+    _sort_rows,
+    unique_rows,
+)
 
 __all__ = [
     "SamplingConfig",
@@ -354,11 +360,7 @@ def build_matrix2(P, Q) -> np.ndarray:
     """
     P, Q = _point_sets(P, Q)
     n1, n2 = len(P), len(Q)
-    n = n1 * n2
-    if n > tensor.DENSE_MATRIX_LIMIT:
-        raise tensor.ThresholdExceeded(
-            f"refusing to materialize a {n}x{n} matrix (limit {tensor.DENSE_MATRIX_LIMIT})"
-        )
+    _check_dense_size(n1 * n2)
     dP = np.hypot(P[:, 0, None] - P[None, :, 0], P[:, 1, None] - P[None, :, 1])
     dQ = np.hypot(Q[:, 0, None] - Q[None, :, 0], Q[:, 1, None] - Q[None, :, 1])
     gap = dP[:, None, :, None] - dQ[None, :, None, :]

@@ -54,11 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     match = sub.add_parser("match", help="match two point sets from a problem file")
     match.add_argument("input", help="problem file (JSON)")
-    match.add_argument("--output", help="result file (default: stdout)")
     match.add_argument(
         "--method", help=f"override the file's method: one of {', '.join(TENSOR_METHODS)}"
     )
-    match.add_argument("--seed", type=number)
     match.set_defaults(func=_cmd_match)
 
     synth = sub.add_parser("synth", help="run a synthetic benchmark grid, emit CSV")
@@ -71,16 +69,16 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--sigma", type=float)
     synth.add_argument("--scale", type=float)
     synth.add_argument("--trials", type=number)
-    synth.add_argument("--seed", type=number, dest="seed_base", metavar="SEED")
     synth.add_argument(
         "--methods",
         help=f"comma-separated subset of {','.join(METHODS)}",
     )
     synth.add_argument("--threads", type=number, help="0 = auto")
     synth.add_argument("--deterministic", action="store_true")
-    synth.add_argument("--output", help="CSV file (default: stdout)")
     synth.set_defaults(func=_cmd_synth)
     for command in (match, synth):  # the flags both take
+        command.add_argument("--output", help="output file (default: stdout)")
+        command.add_argument("--seed", type=number)
         command.add_argument("--triples-per-point", type=number, dest="triples_per_point")
         command.add_argument("--knn", type=number)
 
@@ -165,6 +163,14 @@ def _given(options: dict, args, *keys: str) -> dict:
     return values
 
 
+def _sampling(options: dict, args) -> SamplingConfig:
+    """The sampling settings the user gave, by flag or by file option."""
+    try:
+        return SamplingConfig(**_given(options, args, "triples_per_point", "knn", "seed", "gamma"))
+    except ValueError as exc:
+        raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from exc
+
+
 def _cmd_match(args) -> int:
     P, Q, options = _load_problem(args.input)
     method = _given(options, args, "method").get("method", ExperimentSpec.methods[0])
@@ -172,14 +178,8 @@ def _cmd_match(args) -> int:
         _check_method(method)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
-    try:
-        sampling = SamplingConfig(
-            **_given(options, args, "triples_per_point", "knn", "seed", "gamma")
-        )
-    except ValueError as exc:
-        raise CliError(f"invalid option value: {exc}", EXIT_USAGE) from exc
 
-    tensor = build_tensor(P, Q, sampling)
+    tensor = build_tensor(P, Q, _sampling(options, args))
     # Empty or all zeros, every matching scores 0.
     degenerate = not tensor.val.any()
     if degenerate:
@@ -228,16 +228,14 @@ def _parse_n_out(raw: str) -> tuple[int, ...]:
 
 
 def _cmd_synth(args) -> int:
-    chosen = _given({}, args, "sigma", "scale", "trials", "seed_base", "threads")
+    chosen = _given({}, args, "sigma", "scale", "trials", "threads")
     if args.n_out is not None:
         chosen["n_out"] = _parse_n_out(args.n_out)
     if args.methods is not None:
         chosen["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     try:
         spec = ExperimentSpec(
-            n_in=args.n_in,
-            sampling=SamplingConfig(**_given({}, args, "triples_per_point", "knn")),
-            deterministic=args.deterministic,
+            n_in=args.n_in, sampling=_sampling({}, args), deterministic=args.deterministic,
             **chosen,
         )
     except ValueError as exc:

@@ -53,8 +53,8 @@ def _check_protocol(n_in: int, n_outs, sigma: float, scale: float) -> None:
 class ExperimentSpec:
     """One benchmark grid: outlier counts x trials x methods.
 
-    Each trial's sampling seed is derived from ``seed_base``, so
-    ``sampling.seed`` must be left at 0; every other ``sampling`` field,
+    ``sampling.seed`` is the grid's base seed: each trial derives its
+    instance and build seeds from it; every other ``sampling`` field,
     ``gamma`` included, holds for every trial.
     """
 
@@ -63,7 +63,6 @@ class ExperimentSpec:
     sigma: float = 0.0
     scale: float = 1.0
     trials: int = 1
-    seed_base: int = 0
     methods: tuple[str, ...] = ("bcagm",)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     deterministic: bool = False
@@ -79,15 +78,10 @@ class ExperimentSpec:
             object.__setattr__(self, name, axis)
         _check_protocol(self.n_in, self.n_out, self.sigma, self.scale)
         _check_number(self.trials, "trials", 1, count=True)
-        _check_number(self.seed_base, "seed_base", count=True)
         _check_number(self.threads, "threads", 0, count=True)
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}, expected subset of {METHODS}")
-        if self.sampling.seed:
-            raise ValueError(
-                "sampling.seed is derived per trial from seed_base; set seed_base instead"
-            )
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,7 @@ def accuracy(assignment: AssignmentVector, gt) -> float:
 
 def prepare_case(spec: ExperimentSpec, n_out: int, trial: int) -> TrialCase:
     """Build the instance and tensor for one (grid point, trial)."""
-    seed = trial_seed(spec.seed_base, n_out, trial)
+    seed = trial_seed(spec.sampling.seed, n_out, trial)
     P, Q, gt = gen_instance(spec.n_in, n_out, spec.sigma, spec.scale, seed)
     sampling = replace(spec.sampling, seed=(seed + 1) & (2**63 - 1))
     tensor = build_tensor(P, Q, sampling)

@@ -35,6 +35,14 @@ class ThresholdExceeded(ValueError):
     """The operation would materialize a larger object than allowed."""
 
 
+def _check_dense_size(n: int) -> None:
+    """Refuse an n-by-n dense result above ``DENSE_MATRIX_LIMIT``, read at call time."""
+    if n > DENSE_MATRIX_LIMIT:
+        raise ThresholdExceeded(
+            f"refusing to materialize a {n}x{n} matrix (limit {DENSE_MATRIX_LIMIT})"
+        )
+
+
 @dataclass(frozen=True)
 class MatchingShape:
     """Dimensions of a correspondence problem.
@@ -336,10 +344,7 @@ class SparseSymmetricTensor3:
         full pass.
         """
         n = self.shape.n
-        if n > DENSE_MATRIX_LIMIT:
-            raise ThresholdExceeded(
-                f"refusing to materialize a {n}x{n} matrix (limit {DENSE_MATRIX_LIMIT})"
-            )
+        _check_dense_size(n)
         x = _as_vector(x, n, "x")
         i, j, k = self.idx.T
         val = self.val

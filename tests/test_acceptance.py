@@ -16,6 +16,7 @@ from hypermatch import (
     ExperimentSpec,
     LiftedOperator,
     MatchingShape,
+    SamplingConfig,
     bcagm_solve,
     f4_norm_exact,
     prepare_case,
@@ -202,7 +203,7 @@ GRID_SPEC = ExperimentSpec(
     sigma=0.0,
     scale=1.0,
     trials=20,
-    seed_base=2024,
+    sampling=SamplingConfig(seed=2024),
     methods=tuple(TENSOR_METHODS),
     deterministic=True,
 )
@@ -228,7 +229,7 @@ def test_criterion_09_synthetic_protocol(synthetic_grid):
     # brute-force confirmation of the perfect-recovery premise at tiny scale
     for n_in in (5, 6):
         small = ExperimentSpec(n_in=n_in, n_out=(0,), sigma=0.0, scale=1.0, trials=3,
-                               seed_base=555, deterministic=True)
+                               sampling=SamplingConfig(seed=555), deterministic=True)
         for trial in range(small.trials):
             case = prepare_case(small, 0, trial)
             best_obj, best_cols = oracles.matching_brute(case.tensor)
@@ -263,7 +264,7 @@ NOISY_SPEC = ExperimentSpec(
     n_out=(10,),
     sigma=0.03,
     trials=GRID_SPEC.trials,  # as _mean expects
-    seed_base=2024,
+    sampling=SamplingConfig(seed=2024),
     methods=tuple(TENSOR_METHODS),
     deterministic=True,
 )
@@ -291,11 +292,11 @@ def test_criterion_12_noisy_cell():
 def test_criterion_10_scale_invariance():
     base = ExperimentSpec(
         n_in=10, n_out=(10,), sigma=0.03, scale=1.0, trials=20,
-        seed_base=2024, methods=("bcagm",), deterministic=True,
+        sampling=SamplingConfig(seed=2024), methods=("bcagm",), deterministic=True,
     )
     scaled = ExperimentSpec(
         n_in=10, n_out=(10,), sigma=0.03, scale=1.5, trials=20,
-        seed_base=2024, methods=("bcagm",), deterministic=True,
+        sampling=SamplingConfig(seed=2024), methods=("bcagm",), deterministic=True,
     )
     failures = []
     worst = 0.0

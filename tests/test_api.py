@@ -46,14 +46,12 @@ SHAPE23 = MatchingShape(2, 3)
     [
         pytest.param(lambda: SamplingConfig(knn=2.5), "knn", id="fractional-knn"),
         pytest.param(lambda: SamplingConfig(seed=True), "seed", id="bool-seed"),
+        pytest.param(lambda: SamplingConfig(seed=1.5), "seed", id="fractional-seed"),
         pytest.param(lambda: SamplingConfig(gamma=True), "gamma", id="bool-gamma"),
         pytest.param(lambda: SamplingConfig(gamma="1"), "gamma", id="string-gamma"),
         pytest.param(lambda: SamplingConfig(gamma=10**400), "gamma", id="huge-int-gamma"),
         pytest.param(lambda: ExperimentSpec(n_in=4.5), "n_in", id="fractional-n_in"),
         pytest.param(lambda: ExperimentSpec(n_in=4, trials=2.5), "trials", id="fractional-trials"),
-        pytest.param(
-            lambda: ExperimentSpec(n_in=4, seed_base=1.5), "seed_base", id="fractional-seed_base"
-        ),
         pytest.param(lambda: run_method("nope", T3), "method", id="unknown-method"),
         pytest.param(lambda: MatchingShape(True, 3), "n1", id="bool-n1"),
         pytest.param(lambda: MatchingShape(2.5, 3), "n1", id="fractional-n1"),

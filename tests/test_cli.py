@@ -254,7 +254,8 @@ class TestMatch:
         assert err.count("\n") == 1
 
     # A flag and the file option it overrides are judged by one rule, the
-    # config type's, so a refused value prints the same single line.
+    # config type's, so a refused value prints the same single line; a flag
+    # synth shares with match prints that line too.
     @pytest.mark.parametrize(
         "key, text",
         [
@@ -277,6 +278,28 @@ class TestMatch:
         assert from_flag.err.startswith("hypermatch: ")
         assert from_flag.err.count("\n") == 1
         assert from_flag.out == from_file.out == ""
+        if key != "method":
+            assert main(["synth", "--n-in", "4", "--" + key.replace("_", "-"), text]) == 1
+            from_synth = capsys.readouterr()
+            assert from_synth.err == from_flag.err
+            assert from_synth.out == ""
+
+    # argparse may read a value that starts with "-" but is no plain negative
+    # number as an option name; either way the command exits 1 with no
+    # traceback.  Written as --flag=value, the value reaches the library.
+    @pytest.mark.parametrize("flag, text", [("--knn", "-1e400"), ("--seed", "-inf")])
+    def test_a_dash_value_needs_the_equals_spelling(self, tmp_path, capsys, flag, text):
+        problem = write_problem(tmp_path / "p.json")
+        for command in (["match", problem], ["synth", "--n-in", "4"]):
+            assert main([*command, flag, text]) == 1
+            err = capsys.readouterr().err
+            assert err and "Traceback" not in err
+            assert main([*command, f"{flag}={text}"]) == 1
+            captured = capsys.readouterr()
+            name = flag.removeprefix("--")
+            assert captured.err.startswith(f"hypermatch: invalid option value: {name} must be")
+            assert captured.err.count("\n") == 1
+            assert captured.out == ""
 
     def test_sigma_s_option_is_ignored(self, tmp_path):
         plain = write_problem(tmp_path / "plain.json")
@@ -522,8 +545,9 @@ class TestUnsetFlagsStayUnset:
         assert main(["synth", "--n-in", "4", "--deterministic", *defaults,
                      "--output", str(out2)]) == 0
         unset, spelled_out = specs
-        assert not unset.keys() & {"n_out", "sigma", "scale", "trials", "seed_base", "threads"}
-        assert spelled_out["seed_base"] == 0 and spelled_out["n_out"] == (0,)
+        assert not unset.keys() & {"n_out", "sigma", "scale", "trials", "threads"}
+        assert unset["sampling"] == SamplingConfig()
+        assert spelled_out["sampling"].seed == 0 and spelled_out["n_out"] == (0,)
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_an_unknown_file_method_exits_1_before_the_build(self, tmp_path, capsys, monkeypatch):
@@ -537,7 +561,9 @@ class TestUnsetFlagsStayUnset:
 class TestMethodRegistry:
     @pytest.mark.parametrize("method", list(TENSOR_METHODS))
     def test_cli_and_harness_run_the_library_method(self, tmp_path, capsys, method):
-        spec = ExperimentSpec(n_in=5, n_out=(3,), sigma=0.03, seed_base=7, methods=(method,))
+        spec = ExperimentSpec(
+            n_in=5, n_out=(3,), sigma=0.03, sampling=SamplingConfig(seed=7), methods=(method,)
+        )
         case = prepare_case(spec, 3, 0)
         ref = run_method(method, case.tensor)
 
@@ -550,7 +576,7 @@ class TestMethodRegistry:
             tmp_path / "p.json",
             points_p=case.P.tolist(),
             points_q=case.Q.tolist(),
-            options={"seed": (harness.trial_seed(spec.seed_base, 3, 0) + 1) & (2**63 - 1)},
+            options={"seed": (harness.trial_seed(spec.sampling.seed, 3, 0) + 1) & (2**63 - 1)},
         )
         assert main(["match", problem, "--method", method]) == 0
         result = json.loads(capsys.readouterr().out)

@@ -123,32 +123,41 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(n_in=10, **{axis: value})
 
-    def test_rejects_a_sampling_seed(self):
-        # prepare_case derives every trial's sampling seed from seed_base, so
-        # a seed given here would be silently ignored.
-        with pytest.raises(ValueError, match="seed_base"):
-            ExperimentSpec(n_in=5, sampling=SamplingConfig(seed=12345))
-        assert ExperimentSpec(n_in=5, sampling=SamplingConfig(knn=7)).sampling.knn == 7
-
     def test_a_sampling_gamma_builds_every_trial(self, monkeypatch):
-        # prepare_case replaces only the sampling seed, so gamma reaches every build.
-        spec = ExperimentSpec(
-            n_in=5, n_out=(0, 2), trials=2, sampling=SamplingConfig(gamma=2.5),
-            deterministic=True,
-        )
-        built = []
+        # sampling.seed is the grid's base seed: prepare_case derives each
+        # trial's instance and build seeds from it and replaces only the build
+        # seed, so gamma reaches every build.  trial_seed masks to 63 bits, so
+        # a base beyond them still draws a grid.
+        drawn, built = [], []
+
+        def recording_instance(n_in, n_out, sigma, scale, seed):
+            drawn.append(seed)
+            return gen_instance(n_in, n_out, sigma, scale, seed)
 
         def recording_build(P, Q, sampling):
             built.append(sampling)
             return build_tensor(P, Q, sampling)
 
+        monkeypatch.setattr(harness, "gen_instance", recording_instance)
         monkeypatch.setattr(harness, "build_tensor", recording_build)
-        run_grid(spec)
-        assert len({s.seed for s in built}) == 4
-        assert [s.gamma for s in built] == [2.5] * 4
+        for base in (0, 2**63 + 5):
+            drawn.clear()
+            built.clear()
+            spec = ExperimentSpec(
+                n_in=5, n_out=(0, 2), trials=2, sampling=SamplingConfig(seed=base, gamma=2.5),
+                deterministic=True,
+            )
+            run_grid(spec)  # one worker: the trials run in grid order
+            expected = [trial_seed(base, n_out, t) for n_out in (0, 2) for t in range(2)]
+            assert drawn == expected
+            assert [s.seed for s in built] == [(e + 1) & (2**63 - 1) for e in expected]
+            assert [s.gamma for s in built] == [2.5] * 4
         monkeypatch.undo()
         tuned = prepare_case(spec, 2, 1).tensor
-        plain = prepare_case(ExperimentSpec(n_in=5, n_out=(0, 2), trials=2), 2, 1).tensor
+        plain = prepare_case(
+            ExperimentSpec(n_in=5, n_out=(0, 2), trials=2, sampling=SamplingConfig(seed=base)),
+            2, 1,
+        ).tensor
         assert tuned.idx.tobytes() == plain.idx.tobytes()
         assert tuned.val.tobytes() != plain.val.tobytes()
 
